@@ -8,26 +8,23 @@
 //! ```text
 //! cargo run --release -p bench --bin table1 \
 //!     [--group kobayashi|terauchi|occurrence|games|others] \
-//!     [--workers N] [--fresh-per-query] [--rebase] [--differential] \
+//!     [--workers N] [--differential] \
 //!     [--store DIR] [--incremental] [--timing] [--json]
 //! ```
 //!
 //! `--workers N` shards the run over `N` threads (programs across threads,
 //! and a module's exports across threads inside the analyzer; `0` means one
 //! worker per hardware thread; default: the `ANALYZE_WORKERS` environment
-//! variable, or 1); `--fresh-per-query` runs the original solver-per-query
-//! engine instead of the incremental prover session; `--rebase` keeps the
-//! incremental session but disables pop-to-write-point retraction (every
-//! non-monotone overwrite re-encodes the heap, the pre-retraction engine);
-//! `--differential` runs both the incremental and fresh engines and checks
-//! the verdicts agree; `--store DIR` attaches the persistent analysis store
+//! variable, or 1); `--differential` runs both the incremental prover
+//! session and the fresh-solver-per-query reference engine and checks the
+//! verdicts agree; `--store DIR` attaches the persistent analysis store
 //! in `DIR` (verdicts and theory lemmas survive the process: the first run
 //! populates it, later runs warm-start from it — see the store section of
 //! this crate's README); `--incremental` additionally skips exports whose
 //! dependency-cone hash already has a stored verdict (requires `--store`);
 //! `--timing` appends a per-row and aggregate wall-clock table (monotonic
 //! clock); `--json` emits the machine-readable report (per-row and
-//! aggregate stats — including retraction, heap snapshot/sharing,
+//! aggregate stats — including encoding, heap snapshot/sharing,
 //! per-worker, cross-variant cache-hit and store counters — plus
 //! `analysis_ms`/`wall_ms` timing) on stdout.
 
@@ -57,8 +54,6 @@ fn main() {
     let json = args.iter().any(|a| a == "--json");
     let timing = args.iter().any(|a| a == "--timing");
     let differential = args.iter().any(|a| a == "--differential");
-    let fresh = args.iter().any(|a| a == "--fresh-per-query");
-    let rebase = args.iter().any(|a| a == "--rebase");
     let workers = args.iter().position(|a| a == "--workers").map(|i| {
         let Some(value) = args.get(i + 1) else {
             eprintln!("--workers requires a count");
@@ -86,19 +81,13 @@ fn main() {
         Some(group) => group_programs(group),
         None => all_programs(),
     };
-    let mut options = if fresh {
-        BenchOptions::default().fresh_per_query()
-    } else if rebase {
-        BenchOptions::default().rebase()
-    } else {
-        BenchOptions::default()
-    };
+    let mut options = BenchOptions::default();
     if let Some(workers) = workers {
         options = options.with_workers(workers);
     }
     if let Some(dir) = &store_dir {
         // The engine fingerprint is computed after every engine-shaping flag
-        // has been applied, so each ablation leg gets its own store file.
+        // has been applied, so each configuration gets its own store file.
         let fingerprint = cpcf::EngineFingerprint::for_analyze(&options.analyze);
         match cpcf::AnalysisStore::open(dir, fingerprint) {
             Ok(store) => {

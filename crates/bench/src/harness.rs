@@ -68,28 +68,9 @@ impl BenchOptions {
     }
 
     /// The same budget with the incremental prover session replaced by the
-    /// original fresh-solver-per-query engine (the ablation baseline).
+    /// original fresh-solver-per-query engine (the reference engine).
     pub fn fresh_per_query(mut self) -> Self {
         self.analyze.eval.prove.fresh_per_query = true;
-        self
-    }
-
-    /// The same budget with pop-to-write-point retraction disabled: every
-    /// non-monotone overwrite discards the live solver and re-encodes the
-    /// heap (the pre-retraction engine, the second ablation baseline).
-    /// Pins the incremental session explicitly so the comparison against the
-    /// default engine holds even under `CPCF_PROVE_MODE=fresh`.
-    pub fn rebase(mut self) -> Self {
-        self.analyze.eval.prove.fresh_per_query = false;
-        self.analyze.eval.prove.retraction = false;
-        self
-    }
-
-    /// The same budget with pop-to-write-point retraction explicitly on
-    /// (the default engine), regardless of `CPCF_PROVE_MODE`.
-    pub fn retraction(mut self) -> Self {
-        self.analyze.eval.prove.fresh_per_query = false;
-        self.analyze.eval.prove.retraction = true;
         self
     }
 
@@ -163,14 +144,6 @@ pub struct StatsSummary {
     pub delta_encodings: u64,
     /// Solver-backed queries that reused the live solver state unchanged.
     pub reused_encodings: u64,
-    /// Non-monotone overwrites absorbed by pop-to-write-point retraction
-    /// instead of a whole-heap re-encode.
-    pub retractions: u64,
-    /// Solver frames popped by retractions.
-    pub frames_popped: u64,
-    /// Formulas re-asserted while replaying journal suffixes after
-    /// retraction pops.
-    pub assertions_replayed: u64,
     /// Heap snapshots (cheap copy-on-write `Heap::clone`s) taken by the
     /// evaluator's state splits.
     pub snapshots: u64,
@@ -188,8 +161,8 @@ pub struct StatsSummary {
     /// Unit propagations performed by the CDCL core.
     pub solver_propagations: u64,
     /// Clauses the persistent solver core reused across checks (already in
-    /// the database when a CDCL check started; zero under
-    /// `CPCF_SOLVER_CORE=scratch`).
+    /// the database when a CDCL check started; zero under the scratch
+    /// core).
     pub clauses_reused: u64,
     /// Distinct atoms interned into the persistent core's hash-consing
     /// arena.
@@ -208,8 +181,8 @@ pub struct StatsSummary {
     /// Sibling theory lemmas imported from the cross-worker lemma pool
     /// (zero under `CPCF_LEMMA_SHARING=off`).
     pub lemmas_imported: u64,
-    /// Conjunction checks the difference-logic module ran (zero under
-    /// `CPCF_THEORY_DL=off`).
+    /// Conjunction checks the difference-logic module ran (zero when the
+    /// LIA-only reference engine is configured).
     pub dl_checks: u64,
     /// Negative constraint cycles refuted by the difference-logic module.
     pub dl_conflicts: u64,
@@ -246,9 +219,6 @@ impl StatsSummary {
             full_encodings: stats.full_encodings,
             delta_encodings: stats.delta_encodings,
             reused_encodings: stats.reused_encodings,
-            retractions: stats.retractions,
-            frames_popped: stats.frames_popped,
-            assertions_replayed: stats.assertions_replayed,
             snapshots: stats.snapshots,
             nodes_copied: stats.nodes_copied,
             journal_bytes_shared: stats.journal_bytes_shared,
@@ -286,9 +256,6 @@ impl StatsSummary {
         self.full_encodings += other.full_encodings;
         self.delta_encodings += other.delta_encodings;
         self.reused_encodings += other.reused_encodings;
-        self.retractions += other.retractions;
-        self.frames_popped += other.frames_popped;
-        self.assertions_replayed += other.assertions_replayed;
         self.snapshots += other.snapshots;
         self.nodes_copied += other.nodes_copied;
         self.journal_bytes_shared += other.journal_bytes_shared;
@@ -327,9 +294,6 @@ impl Serialize for StatsSummary {
             .field("full_encodings", &self.full_encodings)
             .field("delta_encodings", &self.delta_encodings)
             .field("reused_encodings", &self.reused_encodings)
-            .field("retractions", &self.retractions)
-            .field("frames_popped", &self.frames_popped)
-            .field("assertions_replayed", &self.assertions_replayed)
             .field("snapshots", &self.snapshots)
             .field("nodes_copied", &self.nodes_copied)
             .field("journal_bytes_shared", &self.journal_bytes_shared)
@@ -652,8 +616,8 @@ pub fn run_group(group: Group, options: &BenchOptions) -> Vec<ProgramResult> {
 pub struct DifferentialResult {
     /// The row produced with the incremental prover session (the default).
     pub incremental: ProgramResult,
-    /// The row produced with the `fresh_per_query` ablation (the original
-    /// solver-per-query engine).
+    /// The row produced with the `fresh_per_query` reference engine (the
+    /// original solver-per-query engine).
     pub fresh: ProgramResult,
 }
 
@@ -666,10 +630,9 @@ impl DifferentialResult {
 }
 
 /// Runs a program with the incremental session and with the
-/// `fresh_per_query` ablation, for differential comparison. The incremental
-/// leg pins `fresh_per_query = false` (keeping the caller's retraction
-/// setting), so the two legs genuinely run different engines even when
-/// `CPCF_PROVE_MODE=fresh` has flipped the configuration default.
+/// `fresh_per_query` reference engine, for differential comparison. The
+/// incremental leg pins `fresh_per_query = false`, so the two legs run
+/// different engines whatever the caller's options select.
 pub fn run_program_differential(
     program: &BenchProgram,
     options: &BenchOptions,
@@ -746,7 +709,7 @@ mod tests {
                 differential.fresh.faulty_verdict,
             );
             incremental_total.merge(&differential.incremental.stats);
-            // The ablation re-encodes the heap for every solver-backed query.
+            // The reference engine re-encodes the heap for every solver-backed query.
             let fresh = &differential.fresh.stats;
             assert_eq!(fresh.cache_hits, 0, "fresh mode must not use the cache");
         }

@@ -95,8 +95,7 @@ pub fn summarize_stats(results: &[ProgramResult]) -> String {
     let total = total_stats(results);
     format!(
         "solver stats: {} prover queries, {} cache hits ({} shared, {} cross-variant), \
-         {} full + {} delta heap encodings ({} reused), {} retractions \
-         ({} frames popped, {} assertions replayed), {} heap snapshots \
+         {} full + {} delta heap encodings ({} reused), {} heap snapshots \
          ({} map nodes copied, {} journal bytes shared), {} solver checks \
          ({} conflicts, {} propagations, {} clauses reused, {} atoms interned, \
          {} cone vars pruned, {} clauses learnt, {} deleted, {} luby restarts, \
@@ -112,9 +111,6 @@ pub fn summarize_stats(results: &[ProgramResult]) -> String {
         total.full_encodings,
         total.delta_encodings,
         total.reused_encodings,
-        total.retractions,
-        total.frames_popped,
-        total.assertions_replayed,
         total.snapshots,
         total.nodes_copied,
         total.journal_bytes_shared,
@@ -228,9 +224,6 @@ mod tests {
                 full_encodings: 2,
                 delta_encodings: 5,
                 reused_encodings: 3,
-                retractions: 2,
-                frames_popped: 3,
-                assertions_replayed: 4,
                 snapshots: 9,
                 nodes_copied: 11,
                 journal_bytes_shared: 13,

@@ -16,25 +16,23 @@
 //! is therefore built for **O(1) snapshots with structural sharing** rather
 //! than for deep copies:
 //!
-//! * the location store, the opaque-label table, the memo-reference set and
-//!   the write-point ledger are persistent copy-on-write maps
-//!   ([`crate::pmap::PMap`]) — a snapshot copies one pointer per map, and a
-//!   later write copies only the tree path still shared with other
-//!   snapshots;
+//! * the location store, the opaque-label table and the memo-reference set
+//!   are persistent copy-on-write maps ([`crate::pmap::PMap`]) — a snapshot
+//!   copies one pointer per map, and a later write copies only the tree
+//!   path still shared with other snapshots;
 //! * the constraint journal is an **`Arc`-shared chain of immutable
 //!   chunks**: a snapshot captures `(chain, len)` and keeps appending on
 //!   either side cheap — an append copies at most the unsealed tail chunk
 //!   (and only when that tail is still shared), never the O(path-length)
 //!   prefix the old `Vec` journal cloned at every branch split.
 //!
-//! The journal's *content* — event order, fingerprint chain, write-points —
-//! is bit-identical to the old deep-clone representation (a property fuzzed
-//! by `randtest`'s shadow-heap differential), so incremental prover
-//! sessions, retraction and the fingerprint-keyed verdict caches are
-//! unaffected consumers. Sharing is observable through the thread-local
-//! counters in [`crate::pmap::sharing_totals`]: snapshots taken, map nodes
-//! copied by shared-path writes, and journal bytes shared instead of
-//! copied.
+//! The journal's *content* — event order and fingerprint chain — is
+//! bit-identical to the old deep-clone representation (a property fuzzed by
+//! `randtest`'s shadow-heap differential), so incremental prover sessions
+//! and the fingerprint-keyed verdict caches are unaffected consumers.
+//! Sharing is observable through the thread-local counters in
+//! [`crate::pmap::sharing_totals`]: snapshots taken, map nodes copied by
+//! shared-path writes, and journal bytes shared instead of copied.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -372,18 +370,11 @@ pub enum JournalEvent {
     /// new entry pairs with every earlier one in the functionality encoding.
     EntryAdded(Loc, usize),
     /// A non-monotone overwrite: formulas previously encoded from this
-    /// location may no longer hold. `retract_to` is the location's
-    /// *write-point* — the journal position at which the earliest formula
-    /// depending on the location entered the formula stream — so an
-    /// incremental consumer only needs to discard solver state covering
-    /// journal positions at or after `retract_to` and replay the surviving
-    /// suffix, instead of re-encoding the whole heap.
+    /// location may no longer hold, so an incremental consumer must discard
+    /// its solver state and re-encode the heap.
     Rebase {
         /// The overwritten location.
         loc: Loc,
-        /// The overwritten location's write-point: every formula depending
-        /// on it was asserted for a journal position `>= retract_to`.
-        retract_to: usize,
     },
 }
 
@@ -548,19 +539,6 @@ pub struct Heap {
     /// held *elsewhere* and must rebase incremental consumers. Grows
     /// monotonically (a conservative over-approximation).
     memo_refs: PMap<Loc, ()>,
-    /// Per-location *write-points*: the journal position at which the
-    /// earliest formula depending on the location entered the formula
-    /// stream. A formula depends on a location when it constrains the
-    /// location's solver variable — its defining equality (concrete
-    /// integers), its numeric refinements, or a functionality implication of
-    /// a memo table whose entry references it. A consumer that asserted the
-    /// journal's formulas in order therefore retracts *every* formula about
-    /// a location by discarding solver state covering positions at or after
-    /// its write-point. Reset (not merely kept) on a [`JournalEvent::Rebase`]
-    /// of the location, because the rebase itself retracts the older
-    /// formulas and the location's new constraints enter at the rebase
-    /// position.
-    write_points: PMap<Loc, usize>,
 }
 
 impl Clone for Heap {
@@ -580,7 +558,6 @@ impl Clone for Heap {
             journal: self.journal.clone(),
             fingerprint: self.fingerprint,
             memo_refs: self.memo_refs.clone(),
-            write_points: self.write_points.clone(),
         }
     }
 }
@@ -675,14 +652,6 @@ impl Heap {
         }
     }
 
-    /// Sets `loc`'s write-point to `position` unless an earlier one exists
-    /// (the `BTreeMap::entry(..).or_insert(..)` of the old representation).
-    fn write_point_if_absent(&mut self, loc: Loc, position: usize) {
-        if !self.write_points.contains_key(&loc) {
-            self.write_points.insert(loc, position);
-        }
-    }
-
     /// Allocates (or reuses) the location for an opaque source label.
     pub fn alloc_opaque(&mut self, label: Label) -> Loc {
         if let Some(&loc) = self.opaque_locs.get(&label) {
@@ -769,12 +738,6 @@ impl Heap {
             _ => Change::Touched,
         };
         let hash = content_hash(&value);
-        // The write-point is read *before* the overwrite is journalled: it
-        // bounds the formulas already in the stream, which the rebase event
-        // tells consumers to retract. A missing write-point (impossible for
-        // the overwrite patterns that trigger a rebase, but cheap to guard)
-        // degrades to position 0, i.e. "retract everything".
-        let retract_to = self.write_points.get(&loc).copied().unwrap_or(0);
         self.note_memo_refs(&value);
         self.entries.insert(loc, value);
         match change {
@@ -784,7 +747,7 @@ impl Heap {
                 }
             }
             Change::Touched => self.record(JournalEvent::Touched(loc), hash),
-            Change::Rebase => self.record(JournalEvent::Rebase { loc, retract_to }, hash),
+            Change::Rebase => self.record(JournalEvent::Rebase { loc }, hash),
         }
     }
 
@@ -819,10 +782,8 @@ impl Heap {
     }
 
     /// Appends a journal event, advancing the fingerprint chain (FNV-1a
-    /// style mixing of the event and a content summary) and maintaining the
-    /// per-location write-points.
+    /// style mixing of the event and a content summary).
     fn record(&mut self, event: JournalEvent, content: u64) {
-        self.note_write_points(&event);
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         self.fingerprint.hash(&mut hasher);
         std::mem::discriminant(&event).hash(&mut hasher);
@@ -838,75 +799,6 @@ impl Heap {
             event,
             fingerprint: self.fingerprint,
         });
-    }
-
-    /// Updates the write-point ledger for the event about to be journalled
-    /// at the current journal position. Called with the mutation already
-    /// applied to `entries`, so the event's value can be inspected.
-    ///
-    /// The invariant maintained: every formula depending on a location is
-    /// emitted by a consumer for a journal position `>=` the location's
-    /// write-point. Wholesale (re-)encodings of a location may emit formulas
-    /// reflecting state journalled *before* the encoding's own position, but
-    /// only state whose own events already carry earlier write-points, so
-    /// first-contribution positions are a sound lower bound.
-    fn note_write_points(&mut self, event: &JournalEvent) {
-        let position = self.journal.len();
-        match *event {
-            JournalEvent::Touched(loc) => {
-                self.note_value_write_points(loc, position, false);
-            }
-            JournalEvent::Rebase { loc, .. } => {
-                // The rebase retracts every older formula about `loc`; its
-                // new constraints enter the stream here.
-                self.write_points.insert(loc, position);
-                self.note_value_write_points(loc, position, true);
-            }
-            JournalEvent::Refined(loc, index) => {
-                let numeric = matches!(
-                    self.entries.get(&loc),
-                    Some(SVal::Opaque { refinements, .. })
-                        if matches!(refinements.get(index), Some(CRefinement::NumCmp(_, _)))
-                );
-                if numeric {
-                    self.write_point_if_absent(loc, position);
-                }
-            }
-            JournalEvent::EntryAdded(loc, index) => {
-                let entry = match self.entries.get(&loc) {
-                    Some(SVal::Opaque { entries, .. }) => entries.get(index).copied(),
-                    _ => None,
-                };
-                self.write_point_if_absent(loc, position);
-                if let Some((arg, res)) = entry {
-                    self.write_point_if_absent(arg, position);
-                    self.write_point_if_absent(res, position);
-                }
-            }
-        }
-    }
-
-    /// Write-points contributed by the value now stored at `loc`: the
-    /// location itself when the value encodes formulas, plus every location
-    /// referenced by a memo entry (the functionality encoding constrains
-    /// their solver variables too). `skip_self` is set by rebases, which
-    /// have already reset the location's own write-point.
-    fn note_value_write_points(&mut self, loc: Loc, position: usize, skip_self: bool) {
-        let Some(value) = self.entries.get(&loc) else {
-            return;
-        };
-        let encodes = encodes_formulas(value);
-        let memo: Vec<(Loc, Loc)> = match value {
-            SVal::Opaque { entries, .. } => entries.clone(),
-            _ => Vec::new(),
-        };
-        if !skip_self && encodes {
-            self.write_point_if_absent(loc, position);
-        }
-        for (arg, res) in memo {
-            self.write_point_if_absent(arg, position);
-            self.write_point_if_absent(res, position);
-        }
     }
 
     /// Number of events in the constraint journal.
@@ -968,14 +860,6 @@ impl Heap {
     /// different content into the chain.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// The write-point of `loc`: the journal position at which the earliest
-    /// formula depending on the location entered the formula stream, or
-    /// `None` while no formula depends on it. [`JournalEvent::Rebase`]
-    /// carries the pre-overwrite value of this, as `retract_to`.
-    pub fn write_point(&self, loc: Loc) -> Option<usize> {
-        self.write_points.get(&loc).copied()
     }
 
     /// The refinements on `loc` (empty when not opaque).
@@ -1153,18 +1037,13 @@ mod tests {
         let mut heap = Heap::new();
         let l = heap.alloc_fresh_opaque();
         heap.refine(l, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(5)));
-        // Structural refinement throws the numeric constraint away: rebase,
-        // carrying the position at which the numeric refinement entered the
-        // formula stream (journal position 1, right after the allocation).
+        // Structural refinement throws the numeric constraint away: rebase.
         let car = heap.alloc_fresh_opaque();
         let cdr = heap.alloc_fresh_opaque();
         heap.set(l, SVal::Pair(car, cdr));
         assert_eq!(
             heap.last_journal_event().unwrap(),
-            JournalEvent::Rebase {
-                loc: l,
-                retract_to: 1
-            }
+            JournalEvent::Rebase { loc: l }
         );
         // Overwriting a location that never contributed formulas is not.
         let fresh = heap.alloc_fresh_opaque();
@@ -1176,28 +1055,11 @@ mod tests {
     }
 
     #[test]
-    fn write_points_mark_first_formula_contributions() {
+    fn overwriting_a_memo_referenced_location_is_a_rebase() {
         let mut heap = Heap::new();
-        let plain = heap.alloc_fresh_opaque(); // position 0, no formulas
-        assert_eq!(heap.write_point(plain), None);
-        let n = heap.alloc(SVal::Num(Number::Int(7))); // position 1: x = 7
-        assert_eq!(heap.write_point(n), Some(1));
-        // A tag refinement contributes no formula; a numeric one does.
-        heap.refine(plain, CRefinement::Is(Tag::Integer)); // position 2
-        assert_eq!(heap.write_point(plain), None);
-        heap.refine(plain, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(0))); // position 3
-        assert_eq!(heap.write_point(plain), Some(3));
-        // Later refinements keep the earliest position.
-        heap.refine(plain, CRefinement::NumCmp(CmpOp::Le, CSymExpr::int(9)));
-        assert_eq!(heap.write_point(plain), Some(3));
-    }
-
-    #[test]
-    fn memo_entries_set_write_points_for_referenced_locations() {
-        let mut heap = Heap::new();
-        let f = heap.alloc_fresh_opaque(); // 0
-        let a = heap.alloc_fresh_opaque(); // 1
-        let r = heap.alloc_fresh_opaque(); // 2
+        let f = heap.alloc_fresh_opaque();
+        let a = heap.alloc_fresh_opaque();
+        let r = heap.alloc_fresh_opaque();
         if let SVal::Opaque { refinements, .. } = heap.get(f).clone() {
             heap.set(
                 f,
@@ -1207,23 +1069,14 @@ mod tests {
                 },
             );
         }
-        // The EntryAdded at position 3 makes f, a and r all formula-relevant
-        // (the functionality encoding constrains every entry's locations).
-        assert_eq!(heap.write_point(f), Some(3));
-        assert_eq!(heap.write_point(a), Some(3));
-        assert_eq!(heap.write_point(r), Some(3));
-        // Overwriting the memo-referenced argument with a non-base value
-        // rebases, telling consumers to retract back to that entry add.
+        // `a` contributes no formula of its own, but the functionality
+        // encoding constrains it as a memo argument: a non-base overwrite
+        // invalidates that encoding.
         heap.set(a, SVal::Bool(true));
         assert_eq!(
             heap.last_journal_event().unwrap(),
-            JournalEvent::Rebase {
-                loc: a,
-                retract_to: 3
-            }
+            JournalEvent::Rebase { loc: a }
         );
-        // The rebase resets the write-point to the rebase position itself.
-        assert_eq!(heap.write_point(a), Some(4));
     }
 
     #[test]

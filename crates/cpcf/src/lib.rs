@@ -43,10 +43,11 @@
 //!   query engine: it keeps one live `folic` solver whose assertion stack
 //!   mirrors a journal prefix, asserts only unseen journal suffixes
 //!   (bracketing branch-local state in `push`/`pop` scopes), and memoizes
-//!   `(heap fingerprint, query) → Proof` verdicts. The
-//!   [`ProveConfig::fresh_per_query`] ablation restores the original
-//!   solver-per-query engine for differential testing, and
-//!   [`SessionStats`] makes the saving measurable.
+//!   `(heap fingerprint, query) → Proof` verdicts. A non-monotone
+//!   overwrite ([`heap::JournalEvent::Rebase`]) re-encodes the heap on the
+//!   same live solver. [`ProveConfig::fresh_per_query`] selects the
+//!   original solver-per-query engine as the reference for differential
+//!   testing, and [`SessionStats`] makes the saving measurable.
 //! * [`eval`] — the symbolic evaluator, split by concern: `eval` (the
 //!   dispatcher and continuation plumbing), `eval::branch` (truthiness, tag
 //!   predicates, structural refinement), `eval::apply` (application and the
@@ -126,6 +127,6 @@ pub use heap::{CRefinement, ContractVal, Env, Heap, Loc, SVal, Tag};
 pub use numeric::Number;
 pub use parse::{parse_expr, parse_program, ParseError, Parser};
 pub use pmap::{sharing_totals, PMap, SharingStats};
-pub use prove::{default_prove_mode, ProveConfig, ProverSession, SessionStats, SharedVerdictCache};
+pub use prove::{ProveConfig, ProverSession, SessionStats, SharedVerdictCache};
 pub use store::{AnalysisStore, EngineFingerprint, StoreCounters};
 pub use syntax::{CBlame, Definition, Expr, Label, Module, Prim, Program, Provide, StructDef};

@@ -21,34 +21,18 @@
 //! * verdicts are **memoized** in a `(heap fingerprint, query) → Proof`
 //!   cache that survives branching, because the fingerprint identifies heap
 //!   content, not solver state;
-//! * a non-monotone heap update (a [`JournalEvent::Rebase`]) is handled by
-//!   **pop-to-write-point retraction**: the rebase event carries the journal
-//!   position at which the overwritten location's constraints entered the
-//!   formula stream, the session pops only the solver frames covering that
-//!   position onwards ([`Solver::pop_to`]), and replays the surviving
-//!   journal suffix as a delta. Only when the write-point falls inside the
-//!   base (scope-0) encoding does the old cost model return — a full
-//!   re-encode from scratch.
+//! * a non-monotone heap update (a [`JournalEvent::Rebase`] in the unseen
+//!   suffix) **re-encodes the whole heap** as a new base. The live solver
+//!   survives the re-encode ([`Solver::clear_assertions`]): its interned
+//!   atoms, Tseitin encodings and learned theory lemmas carry over, so the
+//!   re-encode pays hash lookups rather than fresh allocations. Rebases are
+//!   rare on the corpus, because the evaluator's tag reasoning concretizes
+//!   most opaque values before they carry numeric formulas.
 //!
-//! [`ProveConfig::retraction`] (off: every rebase discards the whole solver
-//! state, the engine of the pre-retraction implementation) and
-//! [`ProveConfig::fresh_per_query`] (the original solver-per-query engine,
-//! cache disabled) are ablation switches so the three engines can be
-//! compared differentially; [`SessionStats`] counts queries, cache hits,
-//! encodings, retractions and replayed assertions so the savings are
-//! measurable. The `CPCF_PROVE_MODE` environment variable (`incremental`,
-//! `rebase` or `fresh`) selects the default engine, so CI can run the whole
-//! suite under each.
-//!
-//! Beneath the session sits the solver-core axis (`CPCF_SOLVER_CORE`,
-//! [`folic::default_core_mode`]): by default every [`Solver`] a session
-//! drives is backed by `folic`'s persistent incremental core (hash-consed
-//! atoms, a CDCL clause database that survives across queries with frames
-//! retracting by activation literals, per-query cone slicing), so the
-//! session's `push`/`pop`/`pop_to` frames map directly onto core
-//! retractions, and a whole-session rebase ([`Solver::clear_assertions`])
-//! keeps the interned atoms, Tseitin encodings and learned theory lemmas
-//! alive instead of discarding the solver.
+//! [`ProveConfig::fresh_per_query`] keeps the original solver-per-query
+//! engine (cache disabled) as the reference the session is differentially
+//! tested against; [`SessionStats`] counts queries, cache hits and
+//! encodings so the savings are measurable.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -70,61 +54,14 @@ use crate::numeric::Number;
 const SESSION_AUX_BASE: u32 = 1 << 30;
 
 /// Configuration for solver queries.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ProveConfig {
     /// Underlying solver configuration.
     pub solver: SolverConfig,
-    /// Ablation switch: rebuild a fresh solver and re-encode the whole heap
+    /// Reference engine: rebuild a fresh solver and re-encode the whole heap
     /// on every query (the original engine), and bypass the verdict cache.
     /// Used for differential testing of the incremental session.
     pub fresh_per_query: bool,
-    /// Memoize `(heap fingerprint, query) → Proof` verdicts. Ignored (off)
-    /// when `fresh_per_query` is set.
-    pub cache: bool,
-    /// Handle non-monotone overwrites by pop-to-write-point retraction
-    /// (pop only the solver frames covering the overwritten location's
-    /// write-point, replay the surviving suffix as deltas). When off, every
-    /// [`JournalEvent::Rebase`] in an unseen journal suffix discards the
-    /// whole live solver and re-encodes the heap from scratch — the
-    /// pre-retraction engine, kept as an ablation for differential testing.
-    pub retraction: bool,
-}
-
-/// The default prover engine, taken from the `CPCF_PROVE_MODE` environment
-/// variable: `incremental` (retraction on; the default when unset), `rebase`
-/// (incremental sessions, but every non-monotone overwrite re-encodes from
-/// scratch), or `fresh` (the original solver-per-query engine). An
-/// unrecognised value falls back to `incremental` with a once-per-process
-/// warning, so a typo in a CI matrix cannot silently test the wrong engine.
-/// Returned as `(fresh_per_query, retraction)`.
-pub fn default_prove_mode() -> (bool, bool) {
-    match std::env::var("CPCF_PROVE_MODE").ok().as_deref() {
-        Some("rebase") => (false, false),
-        Some("fresh") => (true, false),
-        Some("incremental") | None => (false, true),
-        Some(other) => {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!(
-                    "warning: unrecognised CPCF_PROVE_MODE `{other}` \
-                     (expected incremental|rebase|fresh); using incremental"
-                );
-            });
-            (false, true)
-        }
-    }
-}
-
-impl Default for ProveConfig {
-    fn default() -> Self {
-        let (fresh_per_query, retraction) = default_prove_mode();
-        ProveConfig {
-            solver: SolverConfig::default(),
-            fresh_per_query,
-            cache: true,
-            retraction,
-        }
-    }
 }
 
 /// Counters describing the work one [`ProverSession`] has done.
@@ -152,15 +89,6 @@ pub struct SessionStats {
     /// Solver-backed queries for which the live solver already matched the
     /// heap exactly — no encoding work at all.
     pub reused_encodings: u64,
-    /// Non-monotone overwrites absorbed by pop-to-write-point retraction
-    /// instead of a whole-heap re-encode.
-    pub retractions: u64,
-    /// Solver frames popped by retractions (branch-switch pops, the normal
-    /// sibling-heap navigation, are not counted here).
-    pub frames_popped: u64,
-    /// Formulas re-asserted while replaying the surviving journal suffix
-    /// after a retraction pop.
-    pub assertions_replayed: u64,
     /// Heap snapshots ([`Heap::clone`]) taken while this session's work ran.
     /// Sessions do not snapshot heaps themselves; the analysis scheduler
     /// fills this from the thread-local sharing counters
@@ -203,9 +131,6 @@ impl SessionStats {
         self.full_encodings += other.full_encodings;
         self.delta_encodings += other.delta_encodings;
         self.reused_encodings += other.reused_encodings;
-        self.retractions += other.retractions;
-        self.frames_popped += other.frames_popped;
-        self.assertions_replayed += other.assertions_replayed;
         self.snapshots += other.snapshots;
         self.nodes_copied += other.nodes_copied;
         self.journal_bytes_shared += other.journal_bytes_shared;
@@ -529,12 +454,8 @@ impl ProverSession {
         self.solver.reset_stats();
     }
 
-    fn cache_enabled(&self) -> bool {
-        self.config.cache && !self.config.fresh_per_query
-    }
-
     fn cache_lookup(&mut self, heap: &Heap, query: &Query) -> Option<Proof> {
-        if !self.cache_enabled() {
+        if self.config.fresh_per_query {
             return None;
         }
         let key = (heap.fingerprint(), heap.generation(), query.clone());
@@ -560,7 +481,7 @@ impl ProverSession {
     }
 
     fn cache_store(&mut self, heap: &Heap, query: Query, proof: Proof) {
-        if !self.cache_enabled() {
+        if self.config.fresh_per_query {
             return;
         }
         // A crude bound so pathological runs cannot grow without limit.
@@ -677,11 +598,10 @@ impl ProverSession {
         solver
     }
 
-    /// Brings the live solver's assertion stack in sync with `heap`:
-    /// pops scopes for abandoned branches, retracts to the write-point of
-    /// any non-monotone overwrite, asserts the unseen journal suffix, or —
-    /// when a write-point falls inside the base encoding — re-encodes from
-    /// scratch.
+    /// Brings the live solver's assertion stack in sync with `heap`: pops
+    /// scopes for abandoned branches and asserts the unseen journal suffix,
+    /// or re-encodes from scratch when that suffix contains a non-monotone
+    /// overwrite.
     fn sync(&mut self, heap: &Heap) {
         // Pop back to the deepest synchronized prefix this heap extends.
         while let Some(frame) = self.frames.last() {
@@ -693,74 +613,35 @@ impl ProverSession {
                 self.solver.pop();
             }
         }
-        let Some(frame) = self.frames.last() else {
+        let Some(frame_len) = self.frames.last().map(|frame| frame.len) else {
             return self.full_sync(heap);
         };
-        // Non-monotone overwrites in the unseen suffix: every formula about
-        // an overwritten location was asserted for a journal position at or
-        // after the location's write-point (carried by the rebase event), so
-        // popping every frame that covers the earliest such write-point
-        // retracts all of them — the rest of the solver state stays alive.
-        let retract_to = heap
-            .journal_suffix(frame.len)
-            .filter_map(|entry| match entry.event {
-                JournalEvent::Rebase { retract_to, .. } => Some(retract_to),
-                _ => None,
-            })
-            .min();
-        // Journal positions below this boundary had already been asserted
-        // before this sync; formulas re-emitted for them after a retraction
-        // pop are genuine *replays* (as opposed to first-time assertions of
-        // new suffix events) and are counted as such.
-        let replay_boundary = frame.len;
-        if let Some(retract_to) = retract_to {
-            if !self.config.retraction {
-                // Ablation: the pre-retraction engine starts over.
-                return self.full_sync(heap);
-            }
-            // The deepest frame whose journal coverage stops before the
-            // write-point survives; everything above it is popped. Frame
-            // lengths increase strictly with depth, and frame index i sits
-            // at solver scope depth i (the base frame at scope 0).
-            let Some(keep) = self.frames.iter().rposition(|f| f.len <= retract_to) else {
-                // The write-point predates even the base encoding: nothing
-                // to pop to, so the old cost model returns.
-                return self.full_sync(heap);
-            };
-            let popped = self.frames.len() - 1 - keep;
-            if popped > 0 {
-                self.solver
-                    .pop_to(keep)
-                    .expect("frame ledger out of sync with solver scopes");
-                self.frames.truncate(keep + 1);
-            }
-            self.stats.retractions += 1;
-            self.stats.frames_popped += popped as u64;
-        }
-        let frame_len = self.frames.last().expect("a frame survives").len;
         if heap.journal_len() == frame_len {
             self.stats.reused_encodings += 1;
             return;
         }
-        let mut translation = Translation::with_next_aux(self.aux_next);
-        // Locations re-encoded wholesale by a Touched or Rebase event need
-        // no per-refinement/per-entry delta formulas of their own (the
+        // Locations (re-)encoded wholesale by a Touched event need no
+        // per-refinement/per-entry delta formulas of their own (the
         // wholesale translation already reflects the location's final
-        // state), and repeated events encode only once. A rebased location
-        // is safe to encode wholesale precisely because the retraction pop
-        // above removed every formula its older states contributed.
-        let wholesale: std::collections::HashSet<Loc> = heap
-            .journal_suffix(frame_len)
-            .filter_map(|entry| match entry.event {
-                JournalEvent::Touched(loc) | JournalEvent::Rebase { loc, .. } => Some(loc),
-                _ => None,
-            })
-            .collect();
-        let mut pending = wholesale.clone();
-        for (offset, entry) in heap.journal_suffix(frame_len).enumerate() {
-            let before = translation.formulas.len();
+        // state), and repeated events encode only once.
+        let mut wholesale = std::collections::HashSet::new();
+        for entry in heap.journal_suffix(frame_len) {
             match entry.event {
-                JournalEvent::Touched(loc) | JournalEvent::Rebase { loc, .. } => {
+                JournalEvent::Touched(loc) => {
+                    wholesale.insert(loc);
+                }
+                // A non-monotone overwrite may invalidate formulas anywhere
+                // in the live stack (a memo functionality implication, say),
+                // so the session starts over.
+                JournalEvent::Rebase { .. } => return self.full_sync(heap),
+                JournalEvent::Refined(..) | JournalEvent::EntryAdded(..) => {}
+            }
+        }
+        let mut translation = Translation::with_next_aux(self.aux_next);
+        let mut pending = wholesale.clone();
+        for entry in heap.journal_suffix(frame_len) {
+            match entry.event {
+                JournalEvent::Touched(loc) => {
                     if pending.remove(&loc) {
                         translate_loc(heap, loc, &mut translation);
                     }
@@ -775,11 +656,8 @@ impl ProverSession {
                         translate_entry_at(heap, loc, index, &mut translation);
                     }
                 }
-            }
-            // A formula emitted for a position the session had synced before
-            // the retraction pop is work being redone, not new work.
-            if frame_len + offset < replay_boundary {
-                self.stats.assertions_replayed += (translation.formulas.len() - before) as u64;
+                // Handled above: a rebase never reaches the delta encoding.
+                JournalEvent::Rebase { .. } => {}
             }
         }
         self.aux_next = translation.next_aux;
@@ -795,11 +673,10 @@ impl ProverSession {
     }
 
     /// Retracts the live solver's assertions and encodes the whole heap as
-    /// the new base. Under the persistent solver core the solver object
-    /// itself survives — its interned atoms, Tseitin encodings and theory
-    /// lemmas carry over, so the re-encode pays hash lookups where the old
-    /// engine paid fresh allocations (under `CPCF_SOLVER_CORE=scratch` the
-    /// retraction is equivalent to the historical solver swap).
+    /// the new base. The solver object itself survives: under the persistent
+    /// core its interned atoms, Tseitin encodings and theory lemmas carry
+    /// over, so the re-encode pays hash lookups where a fresh solver would
+    /// pay fresh allocations.
     fn full_sync(&mut self, heap: &Heap) {
         self.solver.clear_assertions();
         self.aux_next = SESSION_AUX_BASE;
@@ -1449,147 +1326,88 @@ mod tests {
         );
     }
 
-    /// An explicit engine configuration, independent of the
-    /// `CPCF_PROVE_MODE` environment variable CI uses to flip the default.
-    fn engine(fresh_per_query: bool, retraction: bool) -> ProveConfig {
-        ProveConfig {
-            solver: folic::SolverConfig::default(),
-            fresh_per_query,
-            cache: true,
-            retraction,
-        }
+    /// The reference engine: a fresh solver and a whole-heap encoding per
+    /// query.
+    fn fresh() -> ProverSession {
+        ProverSession::with_config(ProveConfig {
+            fresh_per_query: true,
+            ..ProveConfig::default()
+        })
     }
 
-    /// Builds the scenario where retraction pays: constraints entering the
-    /// stream across several delta frames, then a non-monotone overwrite of
-    /// a location whose write-point lies *above* the base frame.
+    /// Builds a session with a base frame and two delta frames, then
+    /// overwrites a location whose constraints entered in the first delta
+    /// frame (above the base encoding).
     fn overwrite_above_base(session: &mut ProverSession) -> (Heap, Loc, Loc, Loc) {
         let mut heap = Heap::new();
-        let l0 = heap.alloc_fresh_opaque(); // 0
-        heap.refine(l0, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(0))); // 1
+        let l0 = heap.alloc_fresh_opaque();
+        heap.refine(l0, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(0)));
         assert_eq!(
             session.prove_num(&heap, l0, CmpOp::Gt, &CSymExpr::int(-1)),
             Proof::Proved,
             "base frame"
         );
-        let l1 = heap.alloc_fresh_opaque(); // 2
-        heap.refine(l1, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(5))); // 3 = l1's write-point
+        let l1 = heap.alloc_fresh_opaque();
+        heap.refine(l1, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(5)));
         assert_eq!(
             session.prove_num(&heap, l1, CmpOp::Gt, &CSymExpr::int(0)),
             Proof::Proved,
             "first delta frame"
         );
-        let l2 = heap.alloc_fresh_opaque(); // 4
-        heap.refine(l2, CRefinement::NumCmp(CmpOp::Le, CSymExpr::int(2))); // 5
+        let l2 = heap.alloc_fresh_opaque();
+        heap.refine(l2, CRefinement::NumCmp(CmpOp::Le, CSymExpr::int(2)));
         assert_eq!(
             session.prove_num(&heap, l2, CmpOp::Lt, &CSymExpr::int(3)),
             Proof::Proved,
             "second delta frame"
         );
-        // Structural refinement of l1: non-monotone, write-point 3.
+        // Structural refinement of l1: non-monotone.
         let car = heap.alloc_fresh_opaque();
         let cdr = heap.alloc_fresh_opaque();
         heap.set(l1, SVal::Pair(car, cdr));
         assert!(matches!(
             heap.last_journal_event().unwrap(),
-            JournalEvent::Rebase { loc, retract_to: 3 } if loc == l1
+            JournalEvent::Rebase { loc } if loc == l1
         ));
         (heap, l0, l1, l2)
     }
 
     #[test]
-    fn retraction_pops_to_the_write_point_instead_of_reencoding() {
-        let mut session = ProverSession::with_config(engine(false, true));
+    fn rebase_above_the_base_frame_reencodes_and_matches_fresh() {
+        let mut session = ProverSession::new();
         let (heap, l0, l1, l2) = overwrite_above_base(&mut session);
-        // The surviving constraints are replayed, the stale one is gone.
-        assert_eq!(
-            session.prove_num(&heap, l2, CmpOp::Le, &CSymExpr::int(2)),
-            Proof::Proved,
-            "the replayed suffix must keep l2's constraint alive"
-        );
-        assert_eq!(
-            session.prove_num(&heap, l0, CmpOp::Ge, &CSymExpr::int(0)),
-            Proof::Proved,
-            "the base frame survives untouched"
-        );
-        assert_eq!(
-            session.prove_num(&heap, l1, CmpOp::Ge, &CSymExpr::int(5)),
-            Proof::Ambiguous,
-            "the stale `l1 >= 5` constraint must not survive the overwrite"
-        );
-        let stats = session.stats();
-        assert_eq!(stats.full_encodings, 1, "never re-encoded: {stats:?}");
-        assert_eq!(stats.retractions, 1, "{stats:?}");
-        assert_eq!(
-            stats.frames_popped, 2,
-            "both delta frames cover the write-point: {stats:?}"
-        );
-        assert_eq!(
-            stats.assertions_replayed, 1,
-            "exactly l2's constraint is replayed: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn rebase_ablation_reencodes_where_retraction_pops() {
-        let mut session = ProverSession::with_config(engine(false, false));
-        let (heap, _, l1, l2) = overwrite_above_base(&mut session);
-        assert_eq!(
-            session.prove_num(&heap, l2, CmpOp::Le, &CSymExpr::int(2)),
-            Proof::Proved
-        );
-        assert_eq!(
-            session.prove_num(&heap, l1, CmpOp::Ge, &CSymExpr::int(5)),
-            Proof::Ambiguous
-        );
+        let mut reference = fresh();
+        // l2's and l0's constraints survive the re-encode; the stale
+        // `l1 >= 5` does not.
+        let queries = [
+            (l2, CmpOp::Le, 2, Proof::Proved),
+            (l0, CmpOp::Ge, 0, Proof::Proved),
+            (l1, CmpOp::Ge, 5, Proof::Ambiguous),
+        ];
+        for (loc, op, rhs, expected) in queries {
+            let rhs = CSymExpr::int(rhs);
+            assert_eq!(session.prove_num(&heap, loc, op, &rhs), expected, "{loc}");
+            assert_eq!(reference.prove_num(&heap, loc, op, &rhs), expected, "{loc}");
+        }
         let stats = session.stats();
         assert_eq!(
             stats.full_encodings, 2,
-            "the ablation starts over on the rebase: {stats:?}"
+            "the rebase starts over exactly once: {stats:?}"
         );
-        assert_eq!(stats.retractions, 0, "{stats:?}");
-        assert_eq!(stats.frames_popped, 0, "{stats:?}");
-        assert_eq!(stats.assertions_replayed, 0, "{stats:?}");
-    }
-
-    #[test]
-    fn retraction_falls_back_to_reencoding_below_the_base_frame() {
-        // When the overwritten location's constraints are part of the base
-        // (scope-0) encoding there is nothing to pop to, and the retraction
-        // engine degrades to exactly the rebase engine's behaviour.
-        let mut heap = Heap::new();
-        let l = heap.alloc_fresh_opaque();
-        heap.refine(l, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(5)));
-        let mut session = ProverSession::with_config(engine(false, true));
-        assert_eq!(
-            session.prove_num(&heap, l, CmpOp::Gt, &CSymExpr::int(0)),
-            Proof::Proved
-        );
-        let car = heap.alloc_fresh_opaque();
-        let cdr = heap.alloc_fresh_opaque();
-        heap.set(l, SVal::Pair(car, cdr));
-        let m = heap.alloc_fresh_opaque();
-        assert_eq!(
-            session.prove_num(&heap, m, CmpOp::Eq, &CSymExpr::int(0)),
-            Proof::Ambiguous
-        );
-        let stats = session.stats();
-        assert_eq!(stats.full_encodings, 2, "{stats:?}");
-        assert_eq!(stats.retractions, 0, "{stats:?}");
+        assert_eq!(stats.delta_encodings, 2, "{stats:?}");
     }
 
     #[test]
     fn retraction_handles_memo_functionality_overwrites() {
-        // The memo-table variant of the retraction scenario: functionality
-        // constraints enter the stream in a delta frame, the overwrite of a
-        // memo-referenced location retracts them, and verdicts match the
-        // fresh baseline before and after.
-        let mut retraction = ProverSession::with_config(engine(false, true));
-        let mut fresh = ProverSession::with_config(engine(true, false));
+        // Functionality constraints enter the stream in a delta frame; the
+        // overwrite of a memo-referenced location rebases, which retracts
+        // them, and verdicts match the fresh reference before and after.
+        let mut session = ProverSession::new();
+        let mut reference = fresh();
         let mut heap = Heap::new();
         let anchor = heap.alloc_fresh_opaque();
         heap.refine(anchor, CRefinement::NumCmp(CmpOp::Ge, CSymExpr::int(0)));
-        for session in [&mut retraction, &mut fresh] {
+        for session in [&mut session, &mut reference] {
             assert_eq!(
                 session.prove_num(&heap, anchor, CmpOp::Ge, &CSymExpr::int(0)),
                 Proof::Proved
@@ -1613,24 +1431,22 @@ mod tests {
         let query = |session: &mut ProverSession, heap: &Heap| {
             session.prove_num(heap, a, CmpOp::Ne, &CSymExpr::loc(b))
         };
-        assert_eq!(query(&mut retraction, &heap), Proof::Proved);
-        assert_eq!(query(&mut fresh, &heap), Proof::Proved);
+        assert_eq!(query(&mut session, &heap), Proof::Proved);
+        assert_eq!(query(&mut reference, &heap), Proof::Proved);
         // Overwriting `a` with a non-base value retracts the implication.
         let car = heap.alloc_fresh_opaque();
         let cdr = heap.alloc_fresh_opaque();
         heap.set(a, SVal::Pair(car, cdr));
-        let after_retraction = query(&mut retraction, &heap);
         assert_eq!(
-            after_retraction,
-            query(&mut fresh, &heap),
-            "retraction and fresh baselines disagree after the overwrite"
+            query(&mut session, &heap),
+            query(&mut reference, &heap),
+            "the session and the fresh reference disagree after the overwrite"
         );
-        let stats = retraction.stats();
+        let stats = session.stats();
         assert_eq!(
-            stats.full_encodings, 1,
-            "the overwrite is absorbed by retraction: {stats:?}"
+            stats.full_encodings, 2,
+            "the overwrite re-encodes the heap: {stats:?}"
         );
-        assert_eq!(stats.retractions, 1, "{stats:?}");
     }
 
     #[test]
@@ -1646,10 +1462,7 @@ mod tests {
             (CmpOp::Le, CSymExpr::int(9)),
         ];
         let mut incremental = ProverSession::new();
-        let mut fresh = ProverSession::with_config(ProveConfig {
-            fresh_per_query: true,
-            ..ProveConfig::default()
-        });
+        let mut fresh = fresh();
         for (op, rhs) in &queries {
             assert_eq!(
                 incremental.prove_num(&heap, l, *op, rhs),

@@ -49,10 +49,11 @@
 //!   resolved through [`folic::global_atom`] on the way out and re-interned
 //!   through a fresh [`folic::Arena`] on the way in.
 //! * **Engine configuration** is fingerprinted ([`EngineFingerprint`]) over
-//!   every gate and budget that can change a verdict (`CPCF_*` environment
-//!   gates, prover/eval budgets, context depth). The fingerprint names the
-//!   store file *and* sits in the header, so ablation legs never read each
-//!   other's verdicts — a mismatch is a cold start, unit-tested below.
+//!   every setting and budget that can change a verdict (solver and prover
+//!   configuration, the `CPCF_LEMMA_SHARING` gate, eval budgets, context
+//!   depth). The fingerprint names the store file *and* sits in the header,
+//!   so differently configured runs never read each other's verdicts — a
+//!   mismatch is a cold start, unit-tested below.
 //!
 //! ## Incremental re-verification
 //!
@@ -828,10 +829,10 @@ fn decode_export_analysis(dec: &mut Dec) -> Option<ExportAnalysis> {
 /// A 64-bit fingerprint of every engine setting that can change a verdict.
 ///
 /// Two runs share stored verdicts only when their fingerprints match: the
-/// fingerprint names the store file and sits in its header, so the CI
-/// ablation matrix (`CPCF_PROVE_MODE`, `CPCF_SOLVER_CORE`,
-/// `CPCF_LEMMA_SHARING`, `CPCF_THEORY_DL`, worker counts aside) can point
-/// every leg at the same `--store` directory without cross-contamination.
+/// fingerprint names the store file and sits in its header, so runs under
+/// different engine configurations (reference engines, `CPCF_LEMMA_SHARING`;
+/// worker counts aside) can point at the same `--store` directory without
+/// cross-contamination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EngineFingerprint(pub u64);
 
@@ -852,11 +853,10 @@ impl EngineFingerprint {
     }
 
     /// The fingerprint of an analysis configuration: prover engine and
-    /// solver configuration (which carries the `CPCF_PROVE_MODE` /
-    /// `CPCF_SOLVER_CORE` resolved defaults), evaluator budgets, context
-    /// depth, validation, and the `CPCF_LEMMA_SHARING` / `CPCF_THEORY_DL`
-    /// gates. Worker counts are deliberately excluded — verdicts are
-    /// scheduling-independent by construction.
+    /// solver configuration (solver core and theory gates included),
+    /// evaluator budgets, context depth, validation, and the
+    /// `CPCF_LEMMA_SHARING` gate. Worker counts are deliberately excluded —
+    /// verdicts are scheduling-independent by construction.
     pub fn for_analyze(options: &crate::analyze::AnalyzeOptions) -> Self {
         let eval = &options.eval;
         let prove = &eval.prove;
@@ -864,8 +864,6 @@ impl EngineFingerprint {
             format!("schema={SCHEMA_VERSION}"),
             format!("solver={:?}", prove.solver),
             format!("fresh_per_query={}", prove.fresh_per_query),
-            format!("cache={}", prove.cache),
-            format!("retraction={}", prove.retraction),
             format!("fuel={}", eval.fuel),
             format!("max_branches={}", eval.max_branches),
             format!("use_case_maps={}", eval.use_case_maps),
@@ -874,7 +872,6 @@ impl EngineFingerprint {
             format!("validate={}", options.validate),
             format!("context_depth={}", options.context_depth),
             format!("lemma_sharing={}", folic::default_lemma_sharing()),
-            format!("theory_dl={}", folic::default_theory_dl()),
         ])
     }
 }
@@ -1609,6 +1606,22 @@ mod tests {
         assert_ne!(
             EngineFingerprint::for_analyze(&base),
             EngineFingerprint::for_analyze(&deeper)
+        );
+        // Reference engines are selected through the options alone, and
+        // each gets its own fingerprint.
+        let mut lia_only = base.clone();
+        lia_only.eval.prove.solver.theory.theory_dl = !base.eval.prove.solver.theory.theory_dl;
+        let mut fresh = base.clone();
+        fresh.eval.prove.fresh_per_query = !base.eval.prove.fresh_per_query;
+        for reference in [&lia_only, &fresh] {
+            assert_ne!(
+                EngineFingerprint::for_analyze(&base),
+                EngineFingerprint::for_analyze(reference)
+            );
+        }
+        assert_ne!(
+            EngineFingerprint::for_analyze(&lia_only),
+            EngineFingerprint::for_analyze(&fresh)
         );
         // Worker counts are excluded: verdicts are scheduling-independent.
         let mut sharded = base.clone();

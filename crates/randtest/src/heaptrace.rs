@@ -6,10 +6,10 @@
 //! chains and cycles targeting the difference-logic theory module.
 //!
 //! The generator is the random-input half of the differential oracle for the
-//! prover engines: replaying one trace through the pop-to-write-point
-//! retraction engine, the whole-journal rebase ablation and the
-//! fresh-solver-per-query baseline must produce identical verdict sequences
-//! (`tests/solver_properties.rs` asserts this over hundreds of seeds). It
+//! prover engines: replaying one trace through the incremental session and
+//! the fresh-solver-per-query reference must produce identical verdict
+//! sequences (`tests/solver_properties.rs` asserts this over hundreds of
+//! seeds; on difference-chain traces, for decided verdicts). It
 //! plays the same methodological role as the QuickCheck baseline in the
 //! paper's §5.2: randomized inputs probing a claimed equivalence — here the
 //! engine-independence of verdicts that the relative-completeness argument
@@ -106,8 +106,8 @@ impl HeapTrace {
     /// enabled: every branch in the pool additionally maintains a
     /// [`ShadowHeap`] (the old deep-clone representation) replaying the
     /// exact same mutation sequence, and after every mutation the persistent
-    /// heap is asserted to agree with it on journals, fingerprints, stored
-    /// values and write-points. The generated trace is identical to
+    /// heap is asserted to agree with it on journals, fingerprints and
+    /// stored values. The generated trace is identical to
     /// `generate`'s for the same seed — both modes consume the RNG
     /// identically.
     ///
@@ -176,7 +176,7 @@ impl HeapTrace {
 
     /// The largest number of non-monotone overwrites (journalled
     /// [`JournalEvent::Rebase`] events) visible in any single step's
-    /// snapshot — how hard this trace exercises the retraction machinery.
+    /// snapshot — how hard this trace exercises the re-encode path.
     pub fn rebases(&self) -> usize {
         self.steps
             .iter()
@@ -348,8 +348,8 @@ impl TraceHeap for ShadowHeap {
 
 /// Draws one random mutation: mostly monotone growth (numeric and tag
 /// refinements, allocations, memo entries), with a solid share of the
-/// non-monotone structural overwrites that force engines to retract or
-/// re-encode solver state. Inspects `heap` (the primary representation)
+/// non-monotone structural overwrites that force engines to re-encode
+/// solver state. Inspects `heap` (the primary representation)
 /// only to preserve the historical RNG consumption per case.
 fn random_op(rng: &mut StdRng, config: &TraceConfig, heap: &Heap, locs: &[Loc]) -> TraceOp {
     let cases = if config.diff_chains { 14 } else { 12 };
@@ -539,7 +539,7 @@ mod tests {
         assert!(
             rebasing >= 10,
             "only {rebasing}/50 seeds journalled a rebase; the generator no \
-             longer exercises the retraction machinery"
+             longer exercises the re-encode path"
         );
     }
 

@@ -14,9 +14,8 @@
 //!
 //! The [`heaptrace`] module applies the same methodology one level down: a
 //! seeded generator of random symbolic-heap mutation/query traces, used as
-//! the differential oracle proving the prover engines (pop-to-write-point
-//! retraction, whole-journal rebase, fresh-solver-per-query) observationally
-//! equivalent.
+//! the differential oracle proving the incremental prover session
+//! observationally equivalent to the fresh-solver-per-query reference.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

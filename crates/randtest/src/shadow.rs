@@ -11,8 +11,8 @@
 //! testing against:
 //!
 //! * **semantic**: replaying any mutation sequence on both heaps must
-//!   produce bit-identical journals, fingerprints and write-points (the
-//!   entire interface the incremental prover engines consume) — fuzzed by
+//!   produce bit-identical journals and fingerprints (the entire interface
+//!   the incremental prover engines consume) — fuzzed by
 //!   [`crate::heaptrace::HeapTrace::generate_checked`] over hundreds of
 //!   seeds;
 //! * **performance**: the shadow's `Clone` is the old cost model, so the
@@ -26,8 +26,8 @@ use cpcf::heap::{content_hash, encodes_formulas, JournalEntry, JournalEvent};
 use cpcf::{CRefinement, Loc, SVal};
 
 /// The deep-clone heap: `BTreeMap` state plus a `Vec` journal, cloned in
-/// full at every snapshot. Mirrors the journal/fingerprint/write-point
-/// semantics of [`cpcf::Heap`] bit for bit.
+/// full at every snapshot. Mirrors the journal/fingerprint semantics of
+/// [`cpcf::Heap`] bit for bit.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShadowHeap {
     entries: BTreeMap<Loc, SVal>,
@@ -35,7 +35,6 @@ pub struct ShadowHeap {
     journal: Vec<JournalEntry>,
     fingerprint: u64,
     memo_refs: BTreeSet<Loc>,
-    write_points: BTreeMap<Loc, usize>,
 }
 
 impl ShadowHeap {
@@ -112,7 +111,6 @@ impl ShadowHeap {
             _ => Change::Touched,
         };
         let hash = content_hash(&value);
-        let retract_to = self.write_points.get(&loc).copied().unwrap_or(0);
         self.note_memo_refs(&value);
         self.entries.insert(loc, value);
         match change {
@@ -122,7 +120,7 @@ impl ShadowHeap {
                 }
             }
             Change::Touched => self.record(JournalEvent::Touched(loc), hash),
-            Change::Rebase => self.record(JournalEvent::Rebase { loc, retract_to }, hash),
+            Change::Rebase => self.record(JournalEvent::Rebase { loc }, hash),
         }
     }
 
@@ -161,7 +159,6 @@ impl ShadowHeap {
     }
 
     fn record(&mut self, event: JournalEvent, content: u64) {
-        self.note_write_points(&event);
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         self.fingerprint.hash(&mut hasher);
         std::mem::discriminant(&event).hash(&mut hasher);
@@ -179,58 +176,6 @@ impl ShadowHeap {
         });
     }
 
-    fn note_write_points(&mut self, event: &JournalEvent) {
-        let position = self.journal.len();
-        match *event {
-            JournalEvent::Touched(loc) => {
-                self.note_value_write_points(loc, position, false);
-            }
-            JournalEvent::Rebase { loc, .. } => {
-                self.write_points.insert(loc, position);
-                self.note_value_write_points(loc, position, true);
-            }
-            JournalEvent::Refined(loc, index) => {
-                let numeric = matches!(
-                    self.entries.get(&loc),
-                    Some(SVal::Opaque { refinements, .. })
-                        if matches!(refinements.get(index), Some(CRefinement::NumCmp(_, _)))
-                );
-                if numeric {
-                    self.write_points.entry(loc).or_insert(position);
-                }
-            }
-            JournalEvent::EntryAdded(loc, index) => {
-                let entry = match self.entries.get(&loc) {
-                    Some(SVal::Opaque { entries, .. }) => entries.get(index).copied(),
-                    _ => None,
-                };
-                self.write_points.entry(loc).or_insert(position);
-                if let Some((arg, res)) = entry {
-                    self.write_points.entry(arg).or_insert(position);
-                    self.write_points.entry(res).or_insert(position);
-                }
-            }
-        }
-    }
-
-    fn note_value_write_points(&mut self, loc: Loc, position: usize, skip_self: bool) {
-        let Some(value) = self.entries.get(&loc) else {
-            return;
-        };
-        let encodes = encodes_formulas(value);
-        let memo: Vec<(Loc, Loc)> = match value {
-            SVal::Opaque { entries, .. } => entries.clone(),
-            _ => Vec::new(),
-        };
-        if !skip_self && encodes {
-            self.write_points.entry(loc).or_insert(position);
-        }
-        for (arg, res) in memo {
-            self.write_points.entry(arg).or_insert(position);
-            self.write_points.entry(res).or_insert(position);
-        }
-    }
-
     /// The journal, oldest event first.
     pub fn journal(&self) -> &[JournalEntry] {
         &self.journal
@@ -239,11 +184,6 @@ impl ShadowHeap {
     /// The fingerprint after the last journalled event.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// The write-point of `loc`, if any formula depends on it.
-    pub fn write_point(&self, loc: Loc) -> Option<usize> {
-        self.write_points.get(&loc).copied()
     }
 
     /// Index of the next allocation.
@@ -260,8 +200,7 @@ impl ShadowHeap {
 /// Asserts that a [`cpcf::Heap`] and a [`ShadowHeap`] that replayed the same
 /// mutation sequence agree on every observable the prover engines consume:
 /// allocation counter, value store (content and iteration order), journal
-/// (events *and* fingerprint chain), final fingerprint, and the write-point
-/// of every allocated location.
+/// (events *and* fingerprint chain) and final fingerprint.
 ///
 /// # Panics
 ///
@@ -298,12 +237,4 @@ pub fn assert_heaps_agree(heap: &cpcf::Heap, shadow: &ShadowHeap, context: &str)
             .eq(shadow.iter().map(|(l, v)| (l, v.clone()))),
         "{context}: stored values or their iteration order diverge"
     );
-    for index in 0..heap.next_index() {
-        let loc = Loc::new(index);
-        assert_eq!(
-            heap.write_point(loc),
-            shadow.write_point(loc),
-            "{context}: write-points diverge at {loc}"
-        );
-    }
 }

@@ -36,30 +36,6 @@ use crate::probes;
 use crate::term::Var;
 use crate::theory::{TheoryModuleStats, TheorySolver, TheoryVerdict};
 
-/// The default difference-logic gate, taken from the `CPCF_THEORY_DL`
-/// environment variable: `on` (the default when unset) routes conjunctions
-/// inside the difference fragment to the [`DlSolver`] module, `off` keeps
-/// the pre-DL behaviour of sending everything to the LIA engine (the
-/// ablation leg). An unrecognised value falls back to `on` with a
-/// once-per-process warning, mirroring `CPCF_LEMMA_SHARING`'s behaviour so
-/// a typo in a CI matrix cannot silently test the wrong configuration.
-pub fn default_theory_dl() -> bool {
-    match std::env::var("CPCF_THEORY_DL").ok().as_deref() {
-        Some("off") => false,
-        Some("on") | None => true,
-        Some(other) => {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!(
-                    "warning: unrecognised CPCF_THEORY_DL `{other}` \
-                     (expected on|off); using on"
-                );
-            });
-            true
-        }
-    }
-}
-
 /// The difference-fragment reading of one normalised `expr ≤ 0` constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DlConstraint {
@@ -630,11 +606,7 @@ mod tests {
     }
 
     #[test]
-    fn default_gate_reads_like_lemma_sharing() {
-        // Cannot mutate the process environment safely in tests; just pin
-        // the unset default.
-        if std::env::var("CPCF_THEORY_DL").is_err() {
-            assert!(default_theory_dl());
-        }
+    fn difference_logic_is_on_by_default() {
+        assert!(crate::theory::TheoryConfig::default().theory_dl);
     }
 }

@@ -119,8 +119,8 @@ impl SharedLemmaPool {
 /// Whether lemma sharing is enabled by default, from the
 /// `CPCF_LEMMA_SHARING` environment variable: `on` (the default when unset)
 /// or `off` (the ablation). An unrecognised value falls back to `on` with a
-/// once-per-process warning, mirroring `CPCF_SOLVER_CORE`'s behaviour so a
-/// typo in a CI matrix cannot silently test the wrong configuration.
+/// once-per-process warning, so a typo in a CI matrix cannot silently test
+/// the wrong configuration.
 pub fn default_lemma_sharing() -> bool {
     match std::env::var("CPCF_LEMMA_SHARING").ok().as_deref() {
         Some("off") => false,

@@ -31,12 +31,13 @@
 //!   atoms all normalise to `x − y ≤ c` are decided *exactly* by
 //!   negative-cycle detection over the constraint graph, with
 //!   potential-function reuse across incremental asserts and negative-cycle
-//!   explanations as conflict clauses. Gated by `CPCF_THEORY_DL=on|off`.
+//!   explanations as conflict clauses. On by default;
+//!   `TheoryConfig::theory_dl = false` keeps the LIA-only reference engine.
 //! * [`theory`] — the theory layer: the [`theory::TheorySolver`] module
 //!   trait, the dispatcher routing each atom conjunction to the cheapest
 //!   complete module, and the lazy SMT loop combining the SAT core with the
 //!   dispatched theory, rebuilt from nothing per check (the *scratch*
-//!   engine, kept as the `CPCF_SOLVER_CORE=scratch` ablation and as the
+//!   engine, kept as the [`CoreMode::Scratch`] reference engine and as the
 //!   persistent core's fallback oracle).
 //! * [`probes`] — thread-local counters for theory-layer events raised in
 //!   code with no statistics handle (dispatch decisions, propagation-ceiling
@@ -102,12 +103,10 @@ pub mod term;
 pub mod theory;
 
 pub use arena::{global_atom, Arena, AtomId};
-pub use dl::{default_theory_dl, DlSolver};
+pub use dl::DlSolver;
 pub use formula::{Atom, CmpOp, Formula};
 pub use lemmas::{default_lemma_sharing, SharedLemma, SharedLemmaPool};
 pub use model::Model;
-pub use solver::{
-    default_core_mode, CoreMode, Proof, Solver, SolverConfig, SolverStats, UnbalancedPop, Validity,
-};
+pub use solver::{CoreMode, Proof, Solver, SolverConfig, SolverStats, Validity};
 pub use term::{Term, Var};
 pub use theory::{SmtResult, TheoryConfig, TheoryModuleStats, TheorySolver, TheoryVerdict};

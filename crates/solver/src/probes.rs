@@ -30,7 +30,7 @@ pub struct TheoryProbes {
     pub theory_dispatch_dl: u64,
     /// Dispatcher routings to the general LIA module (conjunctions outside
     /// the difference fragment, or every conjunction when
-    /// `CPCF_THEORY_DL=off`).
+    /// `TheoryConfig::theory_dl` is off).
     pub theory_dispatch_lia: u64,
     /// Lazy-SMT loops that exhausted `TheoryConfig::max_iterations` and
     /// degraded the verdict to `Unknown`.

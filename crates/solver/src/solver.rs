@@ -10,7 +10,6 @@
 //! measure how much re-encoding the incremental interface saves.
 
 use std::cell::{Cell, RefCell};
-use std::fmt;
 use std::time::{Duration, Instant};
 
 use crate::core::TheoryCore;
@@ -29,32 +28,9 @@ pub enum CoreMode {
     /// per-query cone slicing. The default.
     Persistent,
     /// The original engine: every check rebuilds the SAT instance and
-    /// re-runs Tseitin encoding from nothing. Kept as an ablation for
-    /// differential testing and for measuring what persistence buys.
+    /// re-runs Tseitin encoding from nothing. Kept as the reference engine
+    /// for differential testing and for measuring what persistence buys.
     Scratch,
-}
-
-/// The default solver core, taken from the `CPCF_SOLVER_CORE` environment
-/// variable: `persistent` (the default when unset) or `scratch` (the
-/// re-encode-per-check engine). An unrecognised value falls back to
-/// `persistent` with a once-per-process warning, mirroring
-/// `CPCF_PROVE_MODE`'s behaviour so a typo in a CI matrix cannot silently
-/// test the wrong engine.
-pub fn default_core_mode() -> CoreMode {
-    match std::env::var("CPCF_SOLVER_CORE").ok().as_deref() {
-        Some("scratch") => CoreMode::Scratch,
-        Some("persistent") | None => CoreMode::Persistent,
-        Some(other) => {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!(
-                    "warning: unrecognised CPCF_SOLVER_CORE `{other}` \
-                     (expected persistent|scratch); using persistent"
-                );
-            });
-            CoreMode::Persistent
-        }
-    }
 }
 
 /// Cumulative statistics for one [`Solver`] instance.
@@ -100,7 +76,7 @@ pub struct SolverStats {
     /// without a pool).
     pub lemmas_imported: u64,
     /// Atom conjunctions the theory dispatcher routed to the
-    /// difference-logic module (zero under `CPCF_THEORY_DL=off`).
+    /// difference-logic module (zero when `TheoryConfig::theory_dl` is off).
     pub dl_checks: u64,
     /// Difference-logic refutations: negative constraint cycles whose
     /// explanations became blocking clauses and shared lemmas.
@@ -159,29 +135,6 @@ impl SolverStats {
     }
 }
 
-/// The error returned by [`Solver::pop_to`] when the requested depth is
-/// deeper than the scopes actually open — the checked counterpart of the
-/// panic in [`Solver::pop`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnbalancedPop {
-    /// The scope depth the caller asked to return to.
-    pub requested: usize,
-    /// The scope depth that was actually open.
-    pub depth: usize,
-}
-
-impl fmt::Display for UnbalancedPop {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "cannot pop to scope depth {} with only {} scopes open",
-            self.requested, self.depth
-        )
-    }
-}
-
-impl std::error::Error for UnbalancedPop {}
-
 /// Outcome of a validity query ([`Solver::check_valid`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Validity {
@@ -200,9 +153,8 @@ pub enum Validity {
 pub struct SolverConfig {
     /// Theory-level configuration (iteration limits, value bounds).
     pub theory: TheoryConfig,
-    /// Which engine runs the satisfiability checks (default: the value of
-    /// the `CPCF_SOLVER_CORE` environment variable, or
-    /// [`CoreMode::Persistent`] when unset).
+    /// Which engine runs the satisfiability checks (default:
+    /// [`CoreMode::Persistent`]).
     pub core: CoreMode,
 }
 
@@ -210,7 +162,7 @@ impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             theory: TheoryConfig::default(),
-            core: default_core_mode(),
+            core: CoreMode::Persistent,
         }
     }
 }
@@ -318,35 +270,6 @@ impl Solver {
         if self.persistent() {
             self.core.get_mut().truncate(mark);
         }
-    }
-
-    /// Pops scopes until exactly `depth` remain open, discarding the
-    /// assertions of every popped scope. `pop_to(scope_depth())` is a no-op.
-    ///
-    /// This is the checked retraction entry point used by incremental
-    /// consumers that track their own frame ledger: asking for a depth that
-    /// is not currently open is reported as an [`UnbalancedPop`] instead of
-    /// the panic [`Solver::pop`] raises on an empty scope stack.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnbalancedPop`] (leaving the solver untouched) when `depth`
-    /// exceeds the current [`Solver::scope_depth`].
-    pub fn pop_to(&mut self, depth: usize) -> Result<(), UnbalancedPop> {
-        if depth > self.scopes.len() {
-            return Err(UnbalancedPop {
-                requested: depth,
-                depth: self.scopes.len(),
-            });
-        }
-        if let Some(&mark) = self.scopes.get(depth) {
-            self.scopes.truncate(depth);
-            self.assertions.truncate(mark);
-            if self.persistent() {
-                self.core.get_mut().truncate(mark);
-            }
-        }
-        Ok(())
     }
 
     /// Retracts every assertion and scope while keeping everything the
@@ -700,7 +623,7 @@ mod tests {
     }
 
     #[test]
-    fn pop_to_restores_depth_and_assertions_exactly() {
+    fn nested_pops_restore_depth_and_assertions_exactly() {
         let mut solver = Solver::new();
         solver.assert(Formula::ge(x(0), Term::int(0)));
         solver.push();
@@ -711,43 +634,16 @@ mod tests {
         solver.push();
         assert_eq!(solver.scope_depth(), 3);
         assert_eq!(solver.assertions().len(), 4);
-        // Popping to the current depth is a no-op.
-        solver.pop_to(3).expect("balanced");
-        assert_eq!(solver.scope_depth(), 3);
-        assert_eq!(solver.assertions().len(), 4);
-        // Popping two scopes at once drops exactly their assertions.
-        solver.pop_to(1).expect("balanced");
+        // Popping two scopes drops exactly their assertions.
+        solver.pop();
+        solver.pop();
         assert_eq!(solver.scope_depth(), 1);
         assert_eq!(solver.assertions().len(), 2);
         assert!(solver.check().is_sat());
         // Back to the base scope: only the base assertion survives.
-        solver.pop_to(0).expect("balanced");
+        solver.pop();
         assert_eq!(solver.scope_depth(), 0);
         assert_eq!(solver.assertions().len(), 1);
-    }
-
-    #[test]
-    fn pop_to_rejects_unbalanced_depths() {
-        let mut solver = Solver::new();
-        solver.assert(Formula::ge(x(0), Term::int(0)));
-        solver.push();
-        solver.assert(Formula::eq(x(0), Term::int(5)));
-        let err = solver.pop_to(2).expect_err("two scopes are not open");
-        assert_eq!(
-            err,
-            UnbalancedPop {
-                requested: 2,
-                depth: 1
-            }
-        );
-        assert!(err.to_string().contains("scope depth 2"));
-        // A failed pop leaves the solver untouched.
-        assert_eq!(solver.scope_depth(), 1);
-        assert_eq!(solver.assertions().len(), 2);
-        // An empty solver rejects any positive depth instead of panicking.
-        let mut empty = Solver::new();
-        assert!(empty.pop_to(1).is_err());
-        assert!(empty.pop_to(0).is_ok());
     }
 
     #[test]

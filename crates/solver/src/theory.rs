@@ -94,8 +94,8 @@ pub(crate) struct Dispatched {
 }
 
 /// Routes one atom conjunction to the cheapest complete theory module: the
-/// difference-logic engine when every atom lies in its fragment (and the
-/// `CPCF_THEORY_DL` gate is open), the general LIA engine otherwise. Both
+/// difference-logic engine when every atom lies in its fragment (and
+/// [`TheoryConfig::theory_dl`] is set), the general LIA engine otherwise. Both
 /// engines only ever refine each other — on fragment conjunctions DL is
 /// exactly complete, so a verdict LIA could decide is never lost, and
 /// conjunctions outside the fragment take the unchanged LIA path.
@@ -177,9 +177,9 @@ pub struct TheoryConfig {
     /// the differential tests check that deletion never changes verdicts.
     pub sat_reduce_limit: Option<usize>,
     /// Whether the dispatcher may route difference-fragment conjunctions to
-    /// the [`crate::dl::DlSolver`] module (default: the `CPCF_THEORY_DL`
-    /// environment variable via [`crate::dl::default_theory_dl`]; `false`
-    /// reproduces the pre-DL engine exactly, as the ablation leg).
+    /// the [`crate::dl::DlSolver`] module (default: `true`; `false`
+    /// reproduces the pre-DL engine exactly, as the LIA-only reference
+    /// engine).
     pub theory_dl: bool,
 }
 
@@ -189,7 +189,7 @@ impl Default for TheoryConfig {
             max_iterations: 256,
             lia: LiaConfig::default(),
             sat_reduce_limit: None,
-            theory_dl: crate::dl::default_theory_dl(),
+            theory_dl: true,
         }
     }
 }

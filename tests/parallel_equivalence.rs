@@ -1,9 +1,9 @@
 //! Corpus-wide differential test for the sharded analysis scheduler: for
 //! every program in every corpus group, analyzing with `workers = 1` and
-//! `workers = 4` under the pop-to-write-point retraction engine must produce
-//! identical per-export verdicts in identical report order, for both the
-//! correct and the faulty variant — and every counterexample the analysis
-//! reports must carry a concrete, re-run-confirmed validation.
+//! `workers = 4` must produce identical per-export verdicts in identical
+//! report order, for both the correct and the faulty variant — and every
+//! counterexample the analysis reports must carry a concrete,
+//! re-run-confirmed validation.
 //!
 //! The equivalence compares verdict *classifications* (plus blame and
 //! validation status), not counterexample bindings: bindings come from a
@@ -16,14 +16,9 @@ use scv_bench::harness::BenchOptions;
 
 /// The harness's reduced `quick` budget, small enough that walking the whole
 /// corpus four times stays fast, with a private (non-shared) cache so the
-/// two worker counts start from identical state, and the retraction engine
-/// pinned explicitly so the corpus equivalence covers it regardless of what
-/// `CPCF_PROVE_MODE` makes the default.
+/// two worker counts start from identical state.
 fn quick_options(workers: usize) -> AnalyzeOptions {
-    let mut options = BenchOptions::quick()
-        .retraction()
-        .with_workers(workers)
-        .analyze;
+    let mut options = BenchOptions::quick().with_workers(workers).analyze;
     options.shared_cache = None;
     options
 }

@@ -1,7 +1,7 @@
 //! Property-based integration tests, driven by a seeded [`StdRng`] so runs
 //! are reproducible without any external property-testing framework.
 //!
-//! Three families of properties:
+//! Five families of properties:
 //!
 //! 1. **Solver soundness** — every model the first-order solver reports
 //!    satisfies the asserted formulas, UNSAT answers agree with brute-force
@@ -12,15 +12,15 @@
 //!    non-monotone overwrites), the incremental [`cpcf::ProverSession`]
 //!    returns exactly the verdicts of the `fresh_per_query` baseline that
 //!    re-encodes the heap on every query.
-//! 3. **Engine-equivalence fuzzing** — replaying seeded
-//!    [`randtest::HeapTrace`]s through the pop-to-write-point retraction
-//!    engine, the whole-journal rebase ablation and the
-//!    fresh-solver-per-query baseline produces bit-identical verdict
-//!    sequences, and retraction performs strictly fewer whole-heap
-//!    re-encodings than rebase over the corpus. These prove-layer
-//!    differentials pin the **scratch** solver core so all their engines
-//!    share one satisfiability oracle — the axis under test is the prove
-//!    layer's bookkeeping, not the solver core.
+//!    The same property is fuzzed over seeded [`randtest::HeapTrace`]s,
+//!    whose non-monotone overwrites drive the session's re-encode path:
+//!    exactly on plain traces, and for decided verdicts on
+//!    difference-chain traces. These prove-layer differentials
+//!    pin the **scratch** solver core so both engines share one
+//!    satisfiability oracle — the axis under test is the prove layer's
+//!    bookkeeping, not the solver core.
+//! 3. **Heap-representation fuzzing** — the persistent copy-on-write heap
+//!    agrees with the deep-clone shadow heap step for step.
 //! 4. **Solver-core refinement fuzzing** — replaying the same traces
 //!    through the persistent core (hash-consed atoms, retained clauses,
 //!    cone slicing) and the scratch core must *refine* verdicts: whenever
@@ -175,7 +175,7 @@ mod session_equivalence {
 
     /// The given prove-engine configuration pinned to the scratch solver
     /// core, so prove-layer differentials compare engines over a single
-    /// satisfiability oracle regardless of `CPCF_SOLVER_CORE`.
+    /// satisfiability oracle.
     fn on_scratch_core(mut config: ProveConfig) -> ProveConfig {
         config.solver.core = folic::CoreMode::Scratch;
         config
@@ -297,16 +297,24 @@ mod session_equivalence {
         }
     }
 
+    /// The fresh-solver-per-query reference engine on the scratch core.
+    fn fresh_reference() -> ProverSession {
+        ProverSession::with_config(on_scratch_core(ProveConfig {
+            fresh_per_query: true,
+            ..ProveConfig::default()
+        }))
+    }
+
     #[test]
     fn incremental_session_matches_fresh_baseline() {
+        use cpcf::SessionStats;
+        use randtest::{HeapTrace, TraceConfig};
+
         let mut rng = StdRng::seed_from_u64(0x5E55_1011);
         for case in 0..CASES / 2 {
             let mut incremental =
                 ProverSession::with_config(on_scratch_core(ProveConfig::default()));
-            let mut fresh = ProverSession::with_config(on_scratch_core(ProveConfig {
-                fresh_per_query: true,
-                ..ProveConfig::default()
-            }));
+            let mut fresh = fresh_reference();
             // A pool of heaps: mutations sometimes fork a branch (cloning a
             // pool member), sometimes extend one, so the incremental session
             // sees the evaluator's real access pattern — interleaved queries
@@ -349,6 +357,66 @@ mod session_equivalence {
             assert!(
                 stats.cache_hits * 2 >= stats.num_queries,
                 "case {case}: too few cache hits: {stats:?}"
+            );
+        }
+
+        // Seeded heap traces, in the spirit of the paper's QuickCheck
+        // baseline (§5.2): replayed through both engines, plain traces must
+        // give exactly the same verdicts. Difference-chain traces drive the
+        // LIA search into its iteration budget, and where that budget runs
+        // out depends on the process-global atom numbering (first-sight
+        // order), so there only decided verdicts must agree.
+        const TRACES: u64 = 200;
+        for config in [TraceConfig::default(), TraceConfig::with_diff_chains()] {
+            let mut incremental_total = SessionStats::default();
+            let mut fresh_total = SessionStats::default();
+            let mut traces_with_rebases = 0usize;
+            for seed in 0..TRACES {
+                let trace = HeapTrace::generate(seed, &config);
+                if trace.rebases() > 0 {
+                    traces_with_rebases += 1;
+                }
+                let mut incremental =
+                    ProverSession::with_config(on_scratch_core(ProveConfig::default()));
+                let mut fresh = fresh_reference();
+                let incremental_verdicts = trace.replay(&mut incremental);
+                let fresh_verdicts = trace.replay(&mut fresh);
+                if config.diff_chains {
+                    assert_eq!(incremental_verdicts.len(), fresh_verdicts.len());
+                    for (index, (i, f)) in
+                        incremental_verdicts.iter().zip(&fresh_verdicts).enumerate()
+                    {
+                        let decided = |p: &folic::Proof| *p != folic::Proof::Ambiguous;
+                        if decided(i) && decided(f) {
+                            assert_eq!(
+                                i, f,
+                                "seed {seed} query {index}: incremental and fresh-per-query \
+                                 engines contradict each other on a difference-chain trace"
+                            );
+                        }
+                    }
+                } else {
+                    assert_eq!(
+                        incremental_verdicts, fresh_verdicts,
+                        "seed {seed}: incremental and fresh-per-query engines disagree"
+                    );
+                }
+                incremental_total.merge(&incremental.stats());
+                fresh_total.merge(&fresh.stats());
+            }
+            // The corpus must actually exercise the re-encode path …
+            assert!(
+                traces_with_rebases >= TRACES as usize / 10,
+                "only {traces_with_rebases}/{TRACES} traces journalled a rebase ({config:?})"
+            );
+            // … and the session must still encode far less than the
+            // reference, which re-encodes the heap for every query.
+            assert!(
+                incremental_total.full_encodings < fresh_total.full_encodings,
+                "incremental ({}) did not save whole-heap encodings versus fresh ({}) \
+                 ({config:?})",
+                incremental_total.full_encodings,
+                fresh_total.full_encodings
             );
         }
     }
@@ -442,103 +510,28 @@ mod session_equivalence {
     }
 
     #[test]
-    fn retraction_rebase_and_fresh_engines_agree_on_seeded_traces() {
-        use cpcf::SessionStats;
-        use randtest::{HeapTrace, TraceConfig};
-
-        // The differential oracle for pop-to-write-point retraction, in the
-        // spirit of the paper's QuickCheck baseline (§5.2): over seeded
-        // random heap traces, all three prover engines must return exactly
-        // the same verdicts. Engines are configured explicitly so the
-        // property holds regardless of the CPCF_PROVE_MODE default, and all
-        // three share the scratch solver core so the only axis varying is
-        // the prove layer's retraction bookkeeping.
-        let engine = |fresh_per_query: bool, retraction: bool| {
-            on_scratch_core(ProveConfig {
-                fresh_per_query,
-                retraction,
-                ..ProveConfig::default()
-            })
-        };
-        const TRACES: u64 = 200;
-        let config = TraceConfig::default();
-        let mut retraction_total = SessionStats::default();
-        let mut rebase_total = SessionStats::default();
-        let mut traces_with_rebases = 0usize;
-        for seed in 0..TRACES {
-            let trace = HeapTrace::generate(seed, &config);
-            if trace.rebases() > 0 {
-                traces_with_rebases += 1;
-            }
-            let mut retraction = ProverSession::with_config(engine(false, true));
-            let mut rebase = ProverSession::with_config(engine(false, false));
-            let mut fresh = ProverSession::with_config(engine(true, false));
-            let retraction_verdicts = trace.replay(&mut retraction);
-            let rebase_verdicts = trace.replay(&mut rebase);
-            let fresh_verdicts = trace.replay(&mut fresh);
-            assert_eq!(
-                retraction_verdicts, rebase_verdicts,
-                "seed {seed}: retraction and rebase engines disagree"
-            );
-            assert_eq!(
-                rebase_verdicts, fresh_verdicts,
-                "seed {seed}: rebase and fresh-per-query engines disagree"
-            );
-            retraction_total.merge(&retraction.stats());
-            rebase_total.merge(&rebase.stats());
-        }
-        // The corpus must actually exercise the machinery under test …
-        assert!(
-            traces_with_rebases >= TRACES as usize / 10,
-            "only {traces_with_rebases}/{TRACES} traces journalled a rebase"
-        );
-        assert!(
-            retraction_total.retractions > 0,
-            "no trace triggered a retraction: {retraction_total:?}"
-        );
-        assert_eq!(
-            rebase_total.retractions, 0,
-            "the ablation must never retract: {rebase_total:?}"
-        );
-        // … and retraction must beat rebase where it counts: strictly fewer
-        // whole-heap re-encodings for the same queries.
-        assert!(
-            retraction_total.full_encodings < rebase_total.full_encodings,
-            "retraction ({}) did not reduce full re-encodings versus rebase ({})",
-            retraction_total.full_encodings,
-            rebase_total.full_encodings
-        );
-    }
-
-    #[test]
     fn persistent_heap_matches_the_deep_clone_shadow_over_200_seeds() {
         use randtest::{HeapTrace, TraceConfig};
 
         // The representation-differential oracle for the copy-on-write heap:
         // `generate_checked` replays every mutation on both the persistent
         // heap and the deep-clone `ShadowHeap` (the seed semantics), and
-        // panics unless journals, fingerprints, stored values and
-        // write-points stay bit-identical after every single step. On top of
+        // panics unless journals, fingerprints and stored values stay
+        // bit-identical after every single step. On top of
         // the representation check, the persistent trace's verdicts must
         // agree between the incremental engine and the fresh-per-query
         // baseline — i.e. the cheaper snapshots change no answer.
         const TRACES: u64 = 200;
         let config = TraceConfig::default();
-        let engine = |fresh_per_query: bool, retraction: bool| {
-            on_scratch_core(ProveConfig {
-                fresh_per_query,
-                retraction,
-                ..ProveConfig::default()
-            })
-        };
         let mut traces_with_rebases = 0usize;
         for seed in 0..TRACES {
             let trace = HeapTrace::generate_checked(seed, &config);
             if trace.rebases() > 0 {
                 traces_with_rebases += 1;
             }
-            let mut incremental = ProverSession::with_config(engine(false, true));
-            let mut fresh = ProverSession::with_config(engine(true, false));
+            let mut incremental =
+                ProverSession::with_config(on_scratch_core(ProveConfig::default()));
+            let mut fresh = fresh_reference();
             assert_eq!(
                 trace.replay(&mut incremental),
                 trace.replay(&mut fresh),
@@ -571,11 +564,7 @@ mod session_equivalence {
         const TRACES: u64 = 200;
         let config = TraceConfig::default();
         let engine = |core: CoreMode| {
-            let mut config = ProveConfig {
-                fresh_per_query: false,
-                retraction: true,
-                ..ProveConfig::default()
-            };
+            let mut config = ProveConfig::default();
             config.solver.core = core;
             config
         };
@@ -667,11 +656,7 @@ mod session_equivalence {
         const TRACES: u64 = 200;
         let config = TraceConfig::with_diff_chains();
         let engine = |theory_dl: bool| {
-            let mut config = ProveConfig {
-                fresh_per_query: false,
-                retraction: true,
-                ..ProveConfig::default()
-            };
+            let mut config = ProveConfig::default();
             config.solver.core = CoreMode::Persistent;
             config.solver.theory.theory_dl = theory_dl;
             config
@@ -760,11 +745,7 @@ mod session_equivalence {
         const TRACES: u64 = 200;
         let config = TraceConfig::default();
         let engine = |reduce_limit: Option<usize>| {
-            let mut config = ProveConfig {
-                fresh_per_query: false,
-                retraction: true,
-                ..ProveConfig::default()
-            };
+            let mut config = ProveConfig::default();
             config.solver.core = CoreMode::Persistent;
             config.solver.theory.sat_reduce_limit = reduce_limit;
             config
