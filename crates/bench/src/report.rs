@@ -3,9 +3,10 @@
 
 use std::fmt::Write as _;
 
+use cpcf::SessionStats;
 use serde::{JsonObject, Serialize};
 
-use crate::harness::{ProgramResult, StatsSummary, Verdict};
+use crate::harness::{stats_json, ProgramResult, Verdict};
 
 /// Renders results as a text table with the same columns as Table 1:
 /// program, lines, order, time to analyse the correct variant, time to
@@ -65,8 +66,8 @@ pub fn summarize(results: &[ProgramResult]) -> String {
 }
 
 /// Sums the prover-session statistics over all rows.
-pub fn total_stats(results: &[ProgramResult]) -> StatsSummary {
-    let mut total = StatsSummary::default();
+pub fn total_stats(results: &[ProgramResult]) -> SessionStats {
+    let mut total = SessionStats::default();
     for result in results {
         total.merge(&result.stats);
     }
@@ -89,57 +90,29 @@ pub fn total_exports_skipped(results: &[ProgramResult]) -> u64 {
     results.iter().map(|r| r.exports_skipped).sum()
 }
 
-/// A one-line rendering of the aggregated solver statistics: how much work
-/// the incremental prover session and the shared verdict cache saved.
+/// A one-line rendering of the aggregated statistics: every session
+/// counter as `name=value` in declaration order (`time` in milliseconds),
+/// then the row-level totals.
 pub fn summarize_stats(results: &[ProgramResult]) -> String {
-    let total = total_stats(results);
-    format!(
-        "solver stats: {} prover queries, {} cache hits ({} shared, {} cross-variant), \
-         {} full + {} delta heap encodings ({} reused), {} heap snapshots \
-         ({} map nodes copied, {} journal bytes shared), {} solver checks \
-         ({} conflicts, {} propagations, {} clauses reused, {} atoms interned, \
-         {} cone vars pruned, {} clauses learnt, {} deleted, {} luby restarts, \
-         {} lemmas published, {} imported), {} dl checks \
-         ({} conflicts, {} relaxations, {} dl + {} lia dispatches, \
-         {} iteration exhaustions, {} ceiling hits, {} reconstruction failures), \
-         store: {} hits, {} misses, {} writes, {} lemmas warm-started, \
-         {} exports skipped, in {} ms",
-        total.queries,
-        total.cache_hits,
-        total.shared_cache_hits,
-        total_cross_variant_hits(results),
-        total.full_encodings,
-        total.delta_encodings,
-        total.reused_encodings,
-        total.snapshots,
-        total.nodes_copied,
-        total.journal_bytes_shared,
-        total.solver_checks,
-        total.solver_conflicts,
-        total.solver_propagations,
-        total.clauses_reused,
-        total.atoms_interned,
-        total.cone_vars_pruned,
-        total.learnt_clauses,
-        total.clauses_deleted,
-        total.restarts_luby,
-        total.lemmas_published,
-        total.lemmas_imported,
-        total.dl_checks,
-        total.dl_conflicts,
-        total.dl_propagations,
-        total.theory_dispatch_dl,
-        total.theory_dispatch_lia,
-        total.theory_iterations_exhausted,
-        total.propagation_ceiling_hits,
-        total.model_reconstruction_failures,
-        total.store_hits,
-        total.store_misses,
-        total.store_writes,
-        total_lemmas_warm_started(results),
-        total_exports_skipped(results),
-        total.solver_ms,
-    )
+    let mut line = String::from("solver stats:");
+    let row_totals = [
+        (
+            "cross_variant_cache_hits",
+            total_cross_variant_hits(results),
+        ),
+        ("lemmas_warm_started", total_lemmas_warm_started(results)),
+        ("exports_skipped", total_exports_skipped(results)),
+    ];
+    for (i, (name, value)) in total_stats(results)
+        .fields()
+        .into_iter()
+        .chain(row_totals)
+        .enumerate()
+    {
+        let separator = if i == 0 { " " } else { ", " };
+        let _ = write!(line, "{separator}{name}={value}");
+    }
+    line
 }
 
 /// Per-row and aggregate wall-clock timing (the `--timing` view): analysis
@@ -187,7 +160,7 @@ pub fn total_analysis_ms(results: &[ProgramResult]) -> u128 {
 pub fn to_json(results: &[ProgramResult], wall_ms: u128) -> String {
     JsonObject::new()
         .raw_field("rows", results.to_json())
-        .field("stats", &total_stats(results))
+        .raw_field("stats", stats_json(&total_stats(results)))
         .field(
             "cross_variant_cache_hits",
             &total_cross_variant_hits(results),
@@ -204,6 +177,8 @@ mod tests {
     use super::*;
 
     fn sample(name: &str, verdict: Verdict) -> ProgramResult {
+        // Every counter nonzero, so a key dropped from a report shows.
+        let stats = <SessionStats as folic::counters::Counter>::sample(&mut 0);
         ProgramResult {
             name: name.to_string(),
             group: "G".to_string(),
@@ -214,45 +189,9 @@ mod tests {
             faulty_verdict: verdict,
             faulty_ms: 7,
             expected_unsolved: false,
-            stats: StatsSummary {
-                queries: 20,
-                cache_hits: 4,
-                shared_cache_hits: 2,
-                store_hits: 1,
-                store_misses: 3,
-                store_writes: 2,
-                full_encodings: 2,
-                delta_encodings: 5,
-                reused_encodings: 3,
-                snapshots: 9,
-                nodes_copied: 11,
-                journal_bytes_shared: 13,
-                solver_checks: 11,
-                solver_conflicts: 6,
-                solver_propagations: 40,
-                clauses_reused: 15,
-                atoms_interned: 17,
-                cone_vars_pruned: 19,
-                learnt_clauses: 21,
-                clauses_deleted: 8,
-                restarts_luby: 3,
-                lemmas_published: 5,
-                lemmas_imported: 2,
-                dl_checks: 7,
-                dl_conflicts: 4,
-                dl_propagations: 23,
-                theory_dispatch_dl: 7,
-                theory_dispatch_lia: 4,
-                theory_iterations_exhausted: 1,
-                propagation_ceiling_hits: 0,
-                model_reconstruction_failures: 0,
-                solver_ms: 1,
-            },
+            stats,
             cross_variant_cache_hits: 1,
-            worker_summaries: vec![StatsSummary {
-                queries: 20,
-                ..StatsSummary::default()
-            }],
+            worker_summaries: vec![stats],
             lemmas_warm_started: 2,
             exports_skipped: 1,
         }
@@ -286,12 +225,15 @@ mod tests {
             sample("a", Verdict::Counterexample),
             sample("b", Verdict::Verified),
         ];
-        let total = total_stats(&rows);
-        assert_eq!(total.queries, 40);
-        assert_eq!(total.cache_hits, 8);
+        let one = rows[0].stats.fields();
+        let total = total_stats(&rows).fields();
         let line = summarize_stats(&rows);
-        assert!(line.contains("40 prover queries"));
-        assert!(line.contains("8 cache hits"));
+        for ((name, single), (_, summed)) in one.iter().zip(&total) {
+            assert_eq!(*summed, 2 * single, "{name} sums over rows");
+            assert!(line.contains(&format!(" {name}={summed}")), "{line}");
+        }
+        assert!(line.starts_with("solver stats: queries="), "{line}");
+        assert!(line.ends_with(", exports_skipped=2"), "{line}");
     }
 
     #[test]
@@ -300,22 +242,38 @@ mod tests {
         let json = to_json(&rows, 123);
         assert!(json.starts_with('{'));
         assert!(json.contains("\"rows\":[{"));
-        assert!(json.contains("\"stats\":{\"queries\":20"));
-        assert!(json.contains("\"snapshots\":9"));
-        assert!(json.contains("\"nodes_copied\":11"));
-        assert!(json.contains("\"journal_bytes_shared\":13"));
-        assert!(json.contains("\"dl_checks\":7"));
-        assert!(json.contains("\"dl_conflicts\":4"));
-        assert!(json.contains("\"theory_dispatch_dl\":7"));
-        assert!(json.contains("\"propagation_ceiling_hits\":0"));
-        assert!(json.contains("\"model_reconstruction_failures\":0"));
-        assert!(json.contains("\"store_hits\":1"));
-        assert!(json.contains("\"store_misses\":3"));
-        assert!(json.contains("\"store_writes\":2"));
+        assert!(json.contains("\"stats\":{\"queries\":"));
+        for (name, value) in total_stats(&rows).fields() {
+            assert!(json.contains(&format!("\"{name}\":{value}")), "{name}");
+        }
         assert!(json.contains("\"lemmas_warm_started\":2"));
         assert!(json.contains("\"exports_skipped\":1"));
         assert!(json.contains("\"analysis_ms\":12"), "5 + 7 ms of analysis");
         assert!(json.contains("\"wall_ms\":123"));
+    }
+
+    #[test]
+    fn json_report_carries_every_key_the_ci_guards_grep() {
+        let json = to_json(&[sample("a", Verdict::Counterexample)], 1);
+        for key in [
+            "snapshots",
+            "clauses_reused",
+            "cone_vars_pruned",
+            "learnt_clauses",
+            "lemmas_imported",
+            "theory_dispatch_dl",
+            "propagation_ceiling_hits",
+            "store_hits",
+            "lemmas_warm_started",
+            "exports_skipped",
+        ] {
+            let pattern = format!("\"{key}\":");
+            let at = json
+                .rfind(&pattern)
+                .unwrap_or_else(|| panic!("{key} missing"));
+            let value = &json[at + pattern.len()..];
+            assert!(value.starts_with(|c: char| c.is_ascii_digit()), "{key}");
+        }
     }
 
     #[test]

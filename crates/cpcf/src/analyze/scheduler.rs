@@ -191,7 +191,7 @@ fn worker_loop(
         let sharing_before = crate::pmap::sharing_totals();
         let (verdict, mut export_stats, reusable) =
             analyze_export(program, module, provide, options, session);
-        export_stats.add_sharing(&crate::pmap::sharing_totals().since(&sharing_before));
+        export_stats.merge(&crate::pmap::sharing_totals().since(&sharing_before));
         session = reusable;
         stats.merge(&export_stats);
         results.push((index, provide.name.clone(), verdict));

@@ -126,7 +126,7 @@ pub use folic::{default_lemma_sharing, SharedLemmaPool};
 pub use heap::{CRefinement, ContractVal, Env, Heap, Loc, SVal, Tag};
 pub use numeric::Number;
 pub use parse::{parse_expr, parse_program, ParseError, Parser};
-pub use pmap::{sharing_totals, PMap, SharingStats};
+pub use pmap::{sharing_totals, PMap};
 pub use prove::{ProveConfig, ProverSession, SessionStats, SharedVerdictCache};
 pub use store::{AnalysisStore, EngineFingerprint, StoreCounters};
 pub use syntax::{CBlame, Definition, Expr, Label, Module, Prim, Program, Provide, StructDef};

@@ -21,15 +21,18 @@
 //! translation depend on that order being deterministic.
 //!
 //! The module also hosts the thread-local **sharing counters**
-//! ([`SharingStats`]): snapshots taken, nodes copied by shared-path writes,
-//! and journal bytes shared instead of deep-copied. Heaps are thread-local
-//! (their environments are `Rc`-based), so plain `Cell` counters are exact;
-//! the analysis scheduler reads deltas around each export run and reports
-//! them through `SessionStats` up to `table1 --json`.
+//! ([`sharing_totals`]): snapshots taken, nodes copied by shared-path
+//! writes, and journal bytes shared instead of deep-copied. Heaps are
+//! thread-local (their environments are `Rc`-based), so plain `Cell`
+//! counters are exact; the analysis scheduler reads deltas around each
+//! export run and reports them through `SessionStats` up to
+//! `table1 --json`.
 
 use std::cell::Cell;
 use std::fmt;
 use std::sync::Arc;
+
+use crate::prove::SessionStats;
 
 /// One tree node. `Clone` is only invoked by [`Arc::make_mut`] when the node
 /// is shared with another snapshot — the structural copy that path-copying
@@ -381,43 +384,18 @@ thread_local! {
     static JOURNAL_BYTES_SHARED: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Thread-local totals of the copy-on-write machinery's work: how often heap
-/// state was snapshotted, how many map nodes shared-path writes had to copy,
-/// and how many journal bytes snapshots shared instead of deep-copying.
-/// Heaps never cross threads, so per-thread counters are exact; consumers
-/// subtract two [`sharing_totals`] readings to attribute work to a region.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SharingStats {
-    /// Heap snapshots taken ([`Heap::clone`](crate::heap::Heap::clone)).
-    pub snapshots: u64,
-    /// Map nodes structurally copied because a write hit a node still
-    /// shared with another snapshot.
-    pub nodes_copied: u64,
-    /// Journal bytes a snapshot shared by bumping a reference count where
-    /// the old representation memcpy'd the whole journal vector.
-    pub journal_bytes_shared: u64,
-}
-
-impl SharingStats {
-    /// The counter-wise difference `self - earlier` (saturating, so a
-    /// mismatched pair of readings cannot underflow).
-    pub fn since(&self, earlier: &SharingStats) -> SharingStats {
-        SharingStats {
-            snapshots: self.snapshots.saturating_sub(earlier.snapshots),
-            nodes_copied: self.nodes_copied.saturating_sub(earlier.nodes_copied),
-            journal_bytes_shared: self
-                .journal_bytes_shared
-                .saturating_sub(earlier.journal_bytes_shared),
-        }
-    }
-}
-
-/// Reads this thread's sharing counters.
-pub fn sharing_totals() -> SharingStats {
-    SharingStats {
+/// Reads this thread's copy-on-write counters — heap snapshots taken, map
+/// nodes that shared-path writes had to copy, and journal bytes snapshots
+/// shared instead of deep-copying — as the matching [`SessionStats`]
+/// fields (every other field zero). Heaps never cross threads, so
+/// per-thread counters are exact; consumers take the difference of two
+/// readings ([`SessionStats::since`]) to attribute work to a region.
+pub fn sharing_totals() -> SessionStats {
+    SessionStats {
         snapshots: SNAPSHOTS.with(Cell::get),
         nodes_copied: NODES_COPIED.with(Cell::get),
         journal_bytes_shared: JOURNAL_BYTES_SHARED.with(Cell::get),
+        ..SessionStats::default()
     }
 }
 

@@ -64,90 +64,60 @@ pub struct ProveConfig {
     pub fresh_per_query: bool,
 }
 
-/// Counters describing the work one [`ProverSession`] has done.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Total queries answered (tag, numeric and model queries).
-    pub queries: u64,
-    /// Tag queries (answered from refinements, never via the solver).
-    pub tag_queries: u64,
-    /// Numeric queries (solver-backed).
-    pub num_queries: u64,
-    /// Heap-model requests (solver-backed).
-    pub model_queries: u64,
-    /// Queries answered from the verdict cache.
-    pub cache_hits: u64,
-    /// The subset of `cache_hits` served by a [`SharedVerdictCache`] — i.e.
-    /// verdicts this session did not compute itself but inherited from
-    /// another session (a sibling worker, or an earlier analysis run sharing
-    /// the cache).
-    pub shared_cache_hits: u64,
-    /// Whole-heap encodings (fresh solver + full translation).
-    pub full_encodings: u64,
-    /// Incremental encodings of a journal suffix only.
-    pub delta_encodings: u64,
-    /// Solver-backed queries for which the live solver already matched the
-    /// heap exactly — no encoding work at all.
-    pub reused_encodings: u64,
-    /// Heap snapshots ([`Heap::clone`]) taken while this session's work ran.
-    /// Sessions do not snapshot heaps themselves; the analysis scheduler
-    /// fills this from the thread-local sharing counters
-    /// ([`crate::pmap::sharing_totals`]) around each export run, so the
-    /// counter attributes the evaluator's branch splits to the session that
-    /// answered their queries.
-    pub snapshots: u64,
-    /// Persistent-map nodes structurally copied because a heap write hit a
-    /// node still shared with another snapshot (the entire per-write cost of
-    /// copy-on-write, in place of the old whole-map deep clones). Filled by
-    /// the scheduler like `snapshots`.
-    pub nodes_copied: u64,
-    /// Journal bytes snapshots shared by reference instead of deep-copying —
-    /// exactly the bytes the old `Vec`-journal representation memcpy'd at
-    /// every branch split. Filled by the scheduler like `snapshots`.
-    pub journal_bytes_shared: u64,
-    /// The subset of `shared_cache_hits` served by the *persistent* tier
-    /// ([`crate::AnalysisStore`]) rather than the in-memory shards — i.e.
-    /// verdicts inherited from an earlier process.
-    pub store_hits: u64,
-    /// Queries that missed both cache tiers while a persistent store was
-    /// attached (the store's reach: `store_hits / (store_hits +
-    /// store_misses)` is the warm-start hit rate).
-    pub store_misses: u64,
-    /// Verdicts this session newly appended to the persistent store.
-    pub store_writes: u64,
-    /// Aggregated statistics of the underlying first-order solver(s).
-    pub solver: SolverStats,
-}
-
-impl SessionStats {
-    /// Accumulates another session's counters into this one.
-    pub fn merge(&mut self, other: &SessionStats) {
-        self.queries += other.queries;
-        self.tag_queries += other.tag_queries;
-        self.num_queries += other.num_queries;
-        self.model_queries += other.model_queries;
-        self.cache_hits += other.cache_hits;
-        self.shared_cache_hits += other.shared_cache_hits;
-        self.full_encodings += other.full_encodings;
-        self.delta_encodings += other.delta_encodings;
-        self.reused_encodings += other.reused_encodings;
-        self.snapshots += other.snapshots;
-        self.nodes_copied += other.nodes_copied;
-        self.journal_bytes_shared += other.journal_bytes_shared;
-        self.store_hits += other.store_hits;
-        self.store_misses += other.store_misses;
-        self.store_writes += other.store_writes;
-        self.solver.merge(&other.solver);
-    }
-
-    /// Adds a reading of the heap-sharing counters (snapshots taken, map
-    /// nodes copied, journal bytes shared) to this session's stats. Called
-    /// by the analysis scheduler with the per-export delta of
-    /// [`crate::pmap::sharing_totals`].
-    pub fn add_sharing(&mut self, sharing: &crate::pmap::SharingStats) {
-        self.snapshots += sharing.snapshots;
-        self.nodes_copied += sharing.nodes_copied;
-        self.journal_bytes_shared += sharing.journal_bytes_shared;
+folic::counters! {
+    /// Counters describing the work one [`ProverSession`] has done.
+    pub struct SessionStats {
+        /// Total queries answered (tag, numeric and model queries).
+        pub queries: u64,
+        /// Tag queries (answered from refinements, never via the solver).
+        pub tag_queries: u64,
+        /// Numeric queries (solver-backed).
+        pub num_queries: u64,
+        /// Heap-model requests (solver-backed).
+        pub model_queries: u64,
+        /// Queries answered from the verdict cache.
+        pub cache_hits: u64,
+        /// The subset of `cache_hits` served by a [`SharedVerdictCache`] — i.e.
+        /// verdicts this session did not compute itself but inherited from
+        /// another session (a sibling worker, or an earlier analysis run sharing
+        /// the cache).
+        pub shared_cache_hits: u64,
+        /// Whole-heap encodings (fresh solver + full translation).
+        pub full_encodings: u64,
+        /// Incremental encodings of a journal suffix only.
+        pub delta_encodings: u64,
+        /// Solver-backed queries for which the live solver already matched the
+        /// heap exactly — no encoding work at all.
+        pub reused_encodings: u64,
+        /// Heap snapshots ([`Heap::clone`]) taken while this session's work ran.
+        /// Sessions do not snapshot heaps themselves; the analysis scheduler
+        /// fills this from the thread-local sharing counters
+        /// ([`crate::pmap::sharing_totals`]) around each export run, so the
+        /// counter attributes the evaluator's branch splits to the session that
+        /// answered their queries.
+        pub snapshots: u64,
+        /// Persistent-map nodes structurally copied because a heap write hit a
+        /// node still shared with another snapshot (the entire per-write cost of
+        /// copy-on-write, in place of the old whole-map deep clones). Filled by
+        /// the scheduler like `snapshots`.
+        pub nodes_copied: u64,
+        /// Journal bytes snapshots shared by reference instead of deep-copying —
+        /// exactly the bytes the old `Vec`-journal representation memcpy'd at
+        /// every branch split. Filled by the scheduler like `snapshots`.
+        pub journal_bytes_shared: u64,
+        /// The subset of `shared_cache_hits` served by the *persistent* tier
+        /// ([`crate::AnalysisStore`]) rather than the in-memory shards — i.e.
+        /// verdicts inherited from an earlier process.
+        pub store_hits: u64,
+        /// Queries that missed both cache tiers while a persistent store was
+        /// attached (the store's reach: `store_hits / (store_hits +
+        /// store_misses)` is the warm-start hit rate).
+        pub store_misses: u64,
+        /// Verdicts this session newly appended to the persistent store.
+        pub store_writes: u64,
+        /// Aggregated statistics of the underlying first-order solver(s),
+        /// listed after this struct's own counters in [`SessionStats::fields`].
+        pub solver: SolverStats,
     }
 }
 
@@ -975,6 +945,11 @@ pub fn translate_sym_expr(expr: &CSymExpr, translation: &mut Translation) -> Ter
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn session_stats_merge_and_since_cover_every_counter() {
+        folic::counters::check_merge_and_since::<SessionStats>();
+    }
 
     #[test]
     fn tag_lattice() {

@@ -34,7 +34,7 @@ use crate::formula::{Atom, CmpOp};
 use crate::linear::{linearise, LinExpr, Linearised};
 use crate::probes;
 use crate::term::Var;
-use crate::theory::{TheoryModuleStats, TheorySolver, TheoryVerdict};
+use crate::theory::{TheorySolver, TheoryVerdict};
 
 /// The difference-fragment reading of one normalised `expr ≤ 0` constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,7 +174,6 @@ pub struct DlSolver {
     /// Potentials left mid-repair by a conflict; restored lazily on
     /// retraction.
     dirty: bool,
-    stats: TheoryModuleStats,
 }
 
 impl DlSolver {
@@ -232,7 +231,6 @@ impl DlSolver {
         // cycle; a wave that dies out has restored a valid potential.
         self.pot[to] = self.pot[from] + weight;
         probes::bump(|p| p.dl_propagations += 1);
-        self.stats.propagations += 1;
         let mut in_queue = vec![false; self.pot.len()];
         let mut queue = VecDeque::new();
         queue.push_back(to);
@@ -245,7 +243,6 @@ impl DlSolver {
                 if self.pot[edge.to] > self.pot[x] + edge.weight {
                     self.pot[edge.to] = self.pot[x] + edge.weight;
                     probes::bump(|p| p.dl_propagations += 1);
-                    self.stats.propagations += 1;
                     if edge.to == from {
                         self.dirty = true;
                         self.conflict = Some(self.negative_cycle_explanation());
@@ -383,7 +380,6 @@ impl TheorySolver for DlSolver {
                 DlConstraint::True => {}
                 DlConstraint::False => {
                     self.conflict = Some(vec![index]);
-                    self.stats.conflicts += 1;
                     probes::bump(|p| p.dl_conflicts += 1);
                     return Err(vec![index]);
                 }
@@ -402,7 +398,6 @@ impl TheorySolver for DlSolver {
                     };
                     if !self.add_edge(from, to, i128::from(bound), index) {
                         let explanation = self.conflict.clone().expect("conflict recorded");
-                        self.stats.conflicts += 1;
                         probes::bump(|p| p.dl_conflicts += 1);
                         return Err(explanation);
                     }
@@ -434,7 +429,6 @@ impl TheorySolver for DlSolver {
     }
 
     fn check(&mut self) -> TheoryVerdict {
-        self.stats.checks += 1;
         if let Some(explanation) = &self.conflict {
             return TheoryVerdict::Unsat(explanation.clone());
         }
@@ -445,10 +439,6 @@ impl TheorySolver for DlSolver {
             Some(model) => TheoryVerdict::Sat(model),
             None => TheoryVerdict::Unknown,
         }
-    }
-
-    fn stats(&self) -> TheoryModuleStats {
-        self.stats
     }
 }
 

@@ -28,7 +28,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::formula::{Atom, CmpOp};
 use crate::linear::{linearise, LinExpr, Linearised};
 use crate::term::{Term, Var};
-use crate::theory::{TheoryModuleStats, TheorySolver, TheoryVerdict};
+use crate::theory::{TheorySolver, TheoryVerdict};
 
 /// Relation of a linear expression to zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1079,7 +1079,6 @@ pub struct LiaModule {
     config: LiaConfig,
     atoms: Vec<Atom>,
     frames: Vec<usize>,
-    stats: TheoryModuleStats,
 }
 
 impl LiaModule {
@@ -1116,21 +1115,15 @@ impl TheorySolver for LiaModule {
     }
 
     fn check(&mut self) -> TheoryVerdict {
-        self.stats.checks += 1;
         match check_atoms(&self.atoms, &self.config) {
             LiaResult::Sat(values) => TheoryVerdict::Sat(values),
             LiaResult::Unsat => {
-                self.stats.conflicts += 1;
                 // The enumeration engine has no conflict analysis: the
                 // explanation is the whole conjunction.
                 TheoryVerdict::Unsat((0..self.atoms.len()).collect())
             }
             LiaResult::Unknown => TheoryVerdict::Unknown,
         }
-    }
-
-    fn stats(&self) -> TheoryModuleStats {
-        self.stats
     }
 }
 
@@ -1168,11 +1161,12 @@ mod tests {
             eq(x(0), Term::add(x(1), Term::int(i64::MAX - 10))),
             Atom::new(x(1), CmpOp::Ge, Term::int(100)),
         ];
-        let before = crate::probes::totals().model_reconstruction_failures;
-        let result = check(&atoms);
+        let (result, delta) = crate::probes::counted(|| check(&atoms));
         assert_eq!(result, LiaResult::Unknown, "overflowed model must not leak");
-        let after = crate::probes::totals().model_reconstruction_failures;
-        assert_eq!(after - before, 1, "the reconstruction failure is counted");
+        assert_eq!(
+            delta.model_reconstruction_failures, 1,
+            "the reconstruction failure is counted"
+        );
     }
 
     #[test]

@@ -39,10 +39,14 @@
 //!   dispatched theory, rebuilt from nothing per check (the *scratch*
 //!   engine, kept as the [`CoreMode::Scratch`] reference engine and as the
 //!   persistent core's fallback oracle).
-//! * [`probes`] — thread-local counters for theory-layer events raised in
-//!   code with no statistics handle (dispatch decisions, propagation-ceiling
-//!   hits, model-reconstruction failures), drained per check into
-//!   [`SolverStats`].
+//! * [`mod@counters`] — the counter registry: the [`counters!`] macro declares
+//!   each statistics struct once ([`SolverStats`] here, `cpcf`'s
+//!   `SessionStats` on top) and generates its field-wise `merge`, `since`
+//!   and `fields`, which every report iterates.
+//! * [`probes`] — the thread-local [`SolverStats`] that the CDCL search, the
+//!   theory modules and the persistent core count into as the work
+//!   happens; [`Solver`] attributes the difference across each check to its
+//!   own statistics.
 //! * [`core`] — the *persistent* incremental core (the default engine): one
 //!   long-lived CDCL instance per solver whose Tseitin encodings, interned
 //!   atoms and theory lemmas survive across checks, with assertion frames
@@ -90,6 +94,7 @@
 pub mod arena;
 pub mod cnf;
 pub mod core;
+pub mod counters;
 pub mod dl;
 pub mod formula;
 pub mod lemmas;
@@ -109,4 +114,4 @@ pub use lemmas::{default_lemma_sharing, SharedLemma, SharedLemmaPool};
 pub use model::Model;
 pub use solver::{CoreMode, Proof, Solver, SolverConfig, SolverStats, Validity};
 pub use term::{Term, Var};
-pub use theory::{SmtResult, TheoryConfig, TheoryModuleStats, TheorySolver, TheoryVerdict};
+pub use theory::{SmtResult, TheoryConfig, TheorySolver, TheoryVerdict};

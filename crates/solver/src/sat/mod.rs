@@ -4,12 +4,11 @@
 //! [`crate::theory`]. It implements the standard conflict-driven clause
 //! learning architecture: two-watched-literal unit propagation, first-UIP
 //! conflict analysis, activity-based decision heuristics (a VSIDS variant),
-//! phase saving and geometric restarts. Clause deletion is not implemented —
-//! the formulas produced by symbolic execution are small enough that the
-//! learned-clause database stays modest.
+//! phase saving, Luby-sequence restarts, and periodic reduction of the
+//! learnt-clause database by LBD (literal block distance) and activity.
 
 mod solver;
 mod types;
 
-pub use solver::{SatSolver, SatStats};
+pub use solver::SatSolver;
 pub use types::{BVar, Lit, SatResult};

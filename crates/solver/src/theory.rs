@@ -12,23 +12,8 @@ use crate::formula::{Atom, Formula};
 use crate::lia::{check_atom_refs, LiaConfig, LiaResult};
 use crate::model::Model;
 use crate::probes;
-use crate::sat::{Lit, SatResult as PropResult, SatSolver, SatStats};
+use crate::sat::{Lit, SatResult as PropResult, SatSolver};
 use crate::term::Var;
-
-/// Per-module statistics of one theory engine, surfaced per process
-/// through [`crate::probes`] and per solver through
-/// [`crate::solver::SolverStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TheoryModuleStats {
-    /// Conjunction checks answered by this module.
-    pub checks: u64,
-    /// Refutations (conflicts) this module derived.
-    pub conflicts: u64,
-    /// Module-internal propagation steps (edge relaxations for the
-    /// difference-logic module; zero for the LIA module, whose interval
-    /// propagation is counted inside its own search).
-    pub propagations: u64,
-}
 
 /// The verdict of one theory module on its asserted conjunction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,8 +50,6 @@ pub trait TheorySolver {
     fn retract(&mut self);
     /// Decides the currently asserted conjunction.
     fn check(&mut self) -> TheoryVerdict;
-    /// This module's cumulative counters.
-    fn stats(&self) -> TheoryModuleStats;
 }
 
 /// Drives one module over a conjunction: open a frame, assert every atom
@@ -103,10 +86,7 @@ pub(crate) fn dispatch_check(atoms: &[&Atom], config: &TheoryConfig) -> Dispatch
     if config.theory_dl {
         let mut dl = DlSolver::new();
         if dl.can_decide(atoms) {
-            probes::bump(|p| {
-                p.theory_dispatch_dl += 1;
-                p.dl_checks += 1;
-            });
+            probes::bump(|p| p.theory_dispatch_dl += 1);
             match run_module(&mut dl, atoms) {
                 TheoryVerdict::Sat(values) => {
                     return Dispatched {
@@ -194,21 +174,13 @@ impl Default for TheoryConfig {
     }
 }
 
-/// Checks the conjunction of `formulas` for satisfiability.
+/// Checks the conjunction of `formulas` for satisfiability, rebuilding the
+/// SAT instance from nothing (the scratch engine). Its CDCL and theory work
+/// is counted in [`crate::probes`].
 pub fn check_conjunction(formulas: &[Formula], config: &TheoryConfig) -> SmtResult {
-    check_conjunction_counted(formulas, config).0
-}
-
-/// [`check_conjunction`] together with the CDCL search statistics of the
-/// underlying propositional solver. The counters are all zero when the
-/// atom-conjunction fast path decided the query without any SAT solving.
-pub fn check_conjunction_counted(
-    formulas: &[Formula],
-    config: &TheoryConfig,
-) -> (SmtResult, SatStats) {
     // Fast path: a pure conjunction of atoms needs no SAT solving at all.
     if let Some(atoms) = as_atom_conjunction(formulas) {
-        return (lia_to_smt(&atoms, formulas, config), SatStats::default());
+        return lia_to_smt(&atoms, formulas, config);
     }
 
     let mut sat = SatSolver::new();
@@ -220,21 +192,16 @@ pub fn check_conjunction_counted(
         assert_formula(&mut sat, &mut atom_map, formula);
     }
 
-    // `SatSolver::solve` resets its counters per call, so accumulate across
-    // the SMT loop's iterations.
-    let mut sat_stats = SatStats::default();
     let mut saw_unknown = false;
     for _iteration in 0..config.max_iterations {
-        let propositional = sat.solve();
-        sat_stats.merge(&sat.stats());
-        match propositional {
+        match sat.solve() {
             PropResult::Unsat => {
                 let verdict = if saw_unknown {
                     SmtResult::Unknown
                 } else {
                     SmtResult::Unsat
                 };
-                return (verdict, sat_stats);
+                return verdict;
             }
             PropResult::Sat(assignment) => {
                 // Collect the theory literals chosen by the boolean model.
@@ -261,7 +228,7 @@ pub fn check_conjunction_counted(
                         }
                         complete_model(&mut model, formulas);
                         if model.satisfies_all(formulas) {
-                            return (SmtResult::Sat(model), sat_stats);
+                            return SmtResult::Sat(model);
                         }
                         // The theory model does not extend to the boolean
                         // structure (should not happen); treat as a blocked
@@ -273,7 +240,7 @@ pub fn check_conjunction_counted(
                         if blocking.is_empty() {
                             // No theory atoms at all, yet the theory says
                             // inconsistent: impossible, but guard anyway.
-                            return (SmtResult::Unsat, sat_stats);
+                            return SmtResult::Unsat;
                         }
                         // A module explanation narrows the blocking clause
                         // to the inconsistent subset — a strictly stronger
@@ -289,7 +256,7 @@ pub fn check_conjunction_counted(
                     LiaResult::Unknown => {
                         saw_unknown = true;
                         if blocking.is_empty() {
-                            return (SmtResult::Unknown, sat_stats);
+                            return SmtResult::Unknown;
                         }
                         sat.add_clause(blocking);
                     }
@@ -298,7 +265,7 @@ pub fn check_conjunction_counted(
         }
     }
     probes::bump(|p| p.theory_iterations_exhausted += 1);
-    (SmtResult::Unknown, sat_stats)
+    SmtResult::Unknown
 }
 
 /// Checks whether `formula` is entailed by `background` (i.e. `background ∧
@@ -491,10 +458,12 @@ mod tests {
             max_iterations: 1,
             ..TheoryConfig::default()
         };
-        let before = probes::totals().theory_iterations_exhausted;
-        assert_eq!(check_conjunction(&formulas, &config), SmtResult::Unknown);
-        let after = probes::totals().theory_iterations_exhausted;
-        assert_eq!(after - before, 1, "the exhausted loop is counted");
+        let (result, delta) = probes::counted(|| check_conjunction(&formulas, &config));
+        assert_eq!(result, SmtResult::Unknown);
+        assert_eq!(
+            delta.theory_iterations_exhausted, 1,
+            "the exhausted loop is counted"
+        );
     }
 
     #[test]
@@ -515,19 +484,16 @@ mod tests {
             theory_dl: true,
             ..TheoryConfig::default()
         };
-        let before = probes::totals();
-        assert_eq!(check_conjunction(&formulas, &config), SmtResult::Unsat);
-        let delta = probes::totals().delta_since(&before);
+        let (result, delta) = probes::counted(|| check_conjunction(&formulas, &config));
+        assert_eq!(result, SmtResult::Unsat);
         assert_eq!(delta.theory_dispatch_dl, 1);
-        assert_eq!(delta.dl_checks, 1);
         assert_eq!(delta.dl_conflicts, 1);
         assert_eq!(delta.theory_dispatch_lia, 0);
         assert_eq!(delta.propagation_ceiling_hits, 0);
 
         config.theory_dl = false;
-        let before = probes::totals();
-        assert_eq!(check_conjunction(&formulas, &config), SmtResult::Unknown);
-        let delta = probes::totals().delta_since(&before);
+        let (result, delta) = probes::counted(|| check_conjunction(&formulas, &config));
+        assert_eq!(result, SmtResult::Unknown);
         assert_eq!(delta.theory_dispatch_dl, 0);
         assert!(delta.theory_dispatch_lia >= 1);
         assert!(
@@ -549,9 +515,8 @@ mod tests {
             theory_dl: true,
             ..TheoryConfig::default()
         };
-        let before = probes::totals();
-        assert_eq!(check_conjunction(&formulas, &config), SmtResult::Unsat);
-        let delta = probes::totals().delta_since(&before);
+        let (result, delta) = probes::counted(|| check_conjunction(&formulas, &config));
+        assert_eq!(result, SmtResult::Unsat);
         assert_eq!(delta.theory_dispatch_dl, 0);
         assert!(delta.theory_dispatch_lia >= 1);
     }

@@ -700,7 +700,7 @@ mod session_equivalence {
             dl_total.merge(&with_dl.stats());
             let lia_stats = without_dl.stats();
             assert_eq!(
-                lia_stats.solver.dl_checks, 0,
+                lia_stats.solver.theory_dispatch_dl, 0,
                 "seed {seed}: the gated-off leg ran the DL module: {lia_stats:?}"
             );
         }
@@ -710,7 +710,7 @@ mod session_equivalence {
              LIA-only engine ({lia_decided})"
         );
         assert!(
-            dl_total.solver.dl_checks > 0,
+            dl_total.solver.theory_dispatch_dl > 0,
             "no query was routed to the DL module: {dl_total:?}"
         );
         assert!(
