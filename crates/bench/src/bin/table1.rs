@@ -14,11 +14,11 @@
 //!
 //! `--workers N` shards the run over `N` threads (programs across threads,
 //! and a module's exports across threads inside the analyzer; `0` means one
-//! worker per hardware thread; default: the `ANALYZE_WORKERS` environment
-//! variable, or 1); `--differential` runs both the incremental prover
-//! session and the fresh-solver-per-query reference engine and checks the
-//! verdicts agree; `--store DIR` attaches the persistent analysis store
-//! in `DIR` (verdicts and theory lemmas survive the process: the first run
+//! worker per hardware thread; default: 1); `--differential` runs both the
+//! incremental prover session and the fresh-solver-per-query reference
+//! engine and checks the verdicts agree; `--store DIR` attaches the
+//! persistent analysis store in `DIR` (verdicts and theory lemmas survive
+//! the process: the first run
 //! populates it, later runs warm-start from it — see the store section of
 //! this crate's README); `--incremental` additionally skips exports whose
 //! dependency-cone hash already has a stored verdict (requires `--store`);

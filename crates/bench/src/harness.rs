@@ -39,7 +39,6 @@ impl Default for BenchOptions {
                     havoc_depth: 2,
                     ..EvalOptions::default()
                 },
-                validate: true,
                 context_depth: 2,
                 ..AnalyzeOptions::default()
             },
@@ -48,9 +47,9 @@ impl Default for BenchOptions {
 }
 
 impl BenchOptions {
-    /// A drastically reduced budget for micro-benchmarking (Criterion) runs,
-    /// where each program is analysed many times: deep enough to find the
-    /// shallow bugs, small enough that a single run takes milliseconds.
+    /// A drastically reduced budget for tests that analyse many programs:
+    /// deep enough to find the shallow bugs, small enough that a single run
+    /// takes milliseconds.
     pub fn quick() -> Self {
         BenchOptions {
             analyze: AnalyzeOptions {
@@ -60,7 +59,6 @@ impl BenchOptions {
                     havoc_depth: 1,
                     ..EvalOptions::default()
                 },
-                validate: true,
                 context_depth: 1,
                 ..AnalyzeOptions::default()
             },
@@ -314,10 +312,9 @@ fn merge_worker_summaries(
 /// [`SharedVerdictCache`] with an epoch boundary between them, so the faulty
 /// run reuses every verdict the correct run computed on their (large) shared
 /// evaluation prefix — and the reuse is reported as
-/// [`ProgramResult::cross_variant_cache_hits`]. When lemma sharing is on
-/// (`CPCF_LEMMA_SHARING`, see [`cpcf::default_lemma_sharing`]) the variants
-/// likewise share one [`cpcf::SharedLemmaPool`]: theory lemmas derived while
-/// analysing the correct variant prune the faulty variant's searches.
+/// [`ProgramResult::cross_variant_cache_hits`]. The variants likewise share
+/// one [`cpcf::SharedLemmaPool`]: theory lemmas derived while analysing the
+/// correct variant prune the faulty variant's searches.
 pub fn run_program(program: &BenchProgram, options: &BenchOptions) -> ProgramResult {
     eprintln!("[table1] analysing {} ...", program.name);
     let mut options = options.clone();
@@ -329,16 +326,17 @@ pub fn run_program(program: &BenchProgram, options: &BenchOptions) -> ProgramRes
         None => SharedVerdictCache::new(),
     };
     options.analyze.shared_cache = Some(cache.clone());
-    if options.analyze.shared_lemmas.is_none() && cpcf::default_lemma_sharing() {
-        options.analyze.shared_lemmas = Some(cpcf::SharedLemmaPool::new());
-    }
+    let pool = options
+        .analyze
+        .shared_lemmas
+        .get_or_insert_with(cpcf::SharedLemmaPool::new);
     // Warm-start the program's lemma pool from the store up front so the
-    // per-program count is attributable (the scheduler's own warm start is
-    // content-deduplicated, so it then re-publishes nothing).
-    let mut lemmas_warm_started = 0;
-    if let (Some(store), Some(pool)) = (&options.analyze.store, &options.analyze.shared_lemmas) {
-        lemmas_warm_started = store.warm_start_lemmas(pool);
-    }
+    // per-program count is attributable; the scheduler leaves a pool it was
+    // handed to its owner.
+    let lemmas_warm_started = match &options.analyze.store {
+        Some(store) => store.warm_start_lemmas(pool),
+        None => 0,
+    };
     let (correct_verdict, correct_ms, order, correct_stats, correct_workers, correct_skipped) =
         analyze_variant(program.correct, &options);
     cache.advance_epoch();

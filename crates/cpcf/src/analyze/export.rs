@@ -106,29 +106,20 @@ pub(super) fn analyze_export(
                             bindings,
                             validated: false,
                         };
-                        if options.validate {
-                            let (confirmed, validation_stats) =
-                                validate(program, &context_expr, &counterexample, options);
-                            stats.merge(&validation_stats);
-                            if confirmed {
-                                counterexample.validated = true;
-                                stats.merge(&ctx.prover.stats());
-                                return (
-                                    ExportAnalysis::Counterexample(counterexample),
-                                    stats,
-                                    ctx.prover,
-                                );
-                            }
-                            if probable.is_none() {
-                                probable = Some(blame.clone());
-                            }
-                        } else {
+                        let (confirmed, validation_stats) =
+                            validate(program, &context_expr, &counterexample, options);
+                        stats.merge(&validation_stats);
+                        if confirmed {
+                            counterexample.validated = true;
                             stats.merge(&ctx.prover.stats());
                             return (
                                 ExportAnalysis::Counterexample(counterexample),
                                 stats,
                                 ctx.prover,
                             );
+                        }
+                        if probable.is_none() {
+                            probable = Some(blame.clone());
                         }
                     }
                 }

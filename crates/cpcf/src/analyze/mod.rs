@@ -41,10 +41,8 @@ pub const CONTEXT_PARTY: &str = "context";
 /// Options controlling an analysis run.
 #[derive(Debug, Clone)]
 pub struct AnalyzeOptions {
-    /// Evaluator options (fuel, branching, case maps, havoc depth).
+    /// Evaluator options (fuel, branching, havoc depth).
     pub eval: EvalOptions,
-    /// Re-run counterexamples concretely before reporting them.
-    pub validate: bool,
     /// How many nested `->` ranges the synthesized context applies.
     pub context_depth: u32,
     /// How many worker threads shard the per-export analyses. `1` runs the
@@ -52,9 +50,7 @@ pub struct AnalyzeOptions {
     /// session); `0` means "auto": one worker per hardware thread, as
     /// reported by [`std::thread::available_parallelism`] (resolved by
     /// [`resolve_workers`] at scheduling time, so the same options value
-    /// adapts to the machine it runs on). Defaults to the `ANALYZE_WORKERS`
-    /// environment variable — which follows the same convention, `0` for
-    /// auto — or `1` when unset or unparsable.
+    /// adapts to the machine it runs on). Defaults to `1`.
     pub workers: usize,
     /// A verdict cache shared across this run's workers and, when the same
     /// handle is passed to several runs, across runs — e.g. the correct and
@@ -62,15 +58,14 @@ pub struct AnalyzeOptions {
     /// cache private.
     pub shared_cache: Option<SharedVerdictCache>,
     /// A theory-lemma pool shared across this run's workers (and, when the
-    /// same handle spans several runs, across runs). `None` lets the
-    /// scheduler consult [`folic::default_lemma_sharing`]
-    /// (`CPCF_LEMMA_SHARING`) and create a per-run pool when sharing is on;
-    /// `Some` pins an explicit pool regardless of the environment.
+    /// same handle spans several runs, across runs). `None` makes the
+    /// scheduler create a pool for this run.
     pub shared_lemmas: Option<SharedLemmaPool>,
     /// A persistent [`crate::AnalysisStore`]. When set, the scheduler
-    /// warm-starts the lemma pool from it before analyzing, records every
+    /// warm-starts a lemma pool it created from it before analyzing (a pool
+    /// passed in `shared_lemmas` is the caller's to warm), records every
     /// freshly computed per-export verdict under its dependency-cone hash
-    /// ([`export_cone_hash`]), and records new lemmas after the run. (The
+    /// ([`export_cone_hash`]), and records the lemmas the run published. (The
     /// *verdict-cache* tier is wired separately: build the shared cache
     /// with [`SharedVerdictCache::with_store`].)
     pub store: Option<crate::store::AnalysisStore>,
@@ -79,16 +74,6 @@ pub struct AnalyzeOptions {
     /// (the stored [`ExportAnalysis`] is returned and the export listed in
     /// [`ModuleReport::skipped`]); only edited cones are re-analyzed.
     pub incremental: bool,
-}
-
-/// The worker count taken from the `ANALYZE_WORKERS` environment variable,
-/// or 1 when unset or unparsable. `0` is passed through (it means "auto",
-/// see [`AnalyzeOptions::workers`]); positive values are clamped to `1..=64`.
-pub fn default_workers() -> usize {
-    std::env::var("ANALYZE_WORKERS")
-        .ok()
-        .and_then(|value| value.trim().parse::<usize>().ok())
-        .map_or(1, |n| if n == 0 { 0 } else { n.clamp(1, 64) })
 }
 
 /// Resolves a requested worker count to an actual one: `0` ("auto") becomes
@@ -106,9 +91,8 @@ impl Default for AnalyzeOptions {
     fn default() -> Self {
         AnalyzeOptions {
             eval: EvalOptions::default(),
-            validate: true,
             context_depth: 3,
-            workers: default_workers(),
+            workers: 1,
             shared_cache: None,
             shared_lemmas: None,
             store: None,
@@ -536,15 +520,6 @@ mod tests {
             "sessions must report shared hits: {:?}",
             second.stats
         );
-    }
-
-    #[test]
-    fn workers_env_variable_feeds_the_default() {
-        // `default_workers` clamps and falls back rather than panicking; it
-        // may legitimately return 0 ("auto") when ANALYZE_WORKERS=0.
-        let workers = default_workers();
-        assert!(workers <= 64);
-        assert_eq!(AnalyzeOptions::default().workers, workers);
     }
 
     #[test]

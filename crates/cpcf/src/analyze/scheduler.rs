@@ -43,24 +43,32 @@ pub(super) fn run_exports(
     options: &AnalyzeOptions,
 ) -> ExportRun {
     let export_count = module.provides.len();
-    // Resolve lemma sharing once per module run: every worker session (and
-    // every throwaway validation session they spawn) gets a handle to the
-    // same pool, so theory lemmas derived against one export prune the
-    // searches of the others. An explicit pool in the options wins;
-    // otherwise `CPCF_LEMMA_SHARING` decides whether a per-run pool exists.
-    let mut options = options.clone();
-    if options.shared_lemmas.is_none() && folic::default_lemma_sharing() {
-        options.shared_lemmas = Some(folic::SharedLemmaPool::new());
-    }
-    let options = &options;
+    // One lemma pool per module run: every worker session (and every
+    // throwaway validation session they spawn) gets a handle to the same
+    // pool, so theory lemmas derived against one export prune the searches
+    // of the others. An explicit pool in the options wins; its owner has
+    // already warm-started it from the store. A pool created here is
+    // warm-started before any session exists: stored theory lemmas are
+    // universally valid arithmetic facts, so the first CDCL search of this
+    // run already begins with the previous run's learned blocking clauses.
     let store = options.store.clone();
-    // Warm-start the lemma pool from disk before any session exists: stored
-    // theory lemmas are universally valid arithmetic facts, so the first
-    // CDCL search of this run already begins with the previous run's
-    // learned blocking clauses.
-    if let (Some(store), Some(pool)) = (&store, &options.shared_lemmas) {
-        store.warm_start_lemmas(pool);
-    }
+    let mut options = options.clone();
+    let pool = match &options.shared_lemmas {
+        Some(pool) => pool.clone(),
+        None => {
+            let pool = folic::SharedLemmaPool::new();
+            if let Some(store) = &store {
+                store.warm_start_lemmas(&pool);
+            }
+            options.shared_lemmas = Some(pool.clone());
+            pool
+        }
+    };
+    let options = &options;
+    // The pool's earlier lemmas came from the store's warm start or from
+    // earlier runs sharing the pool, which recorded their own; this run
+    // records only the lemmas published from here on.
+    let lemma_cursor = pool.len();
 
     // Dependency-cone hashes, computed once per export whenever a store is
     // attached: incremental mode reads them to skip unchanged cones, and
@@ -142,9 +150,7 @@ pub(super) fn run_exports(
                 store.record_export(&module.name, name, cone_hashes[index], verdict);
             }
         }
-        if let Some(pool) = &options.shared_lemmas {
-            store.record_lemmas(pool, 0);
-        }
+        store.record_lemmas(&pool, lemma_cursor);
         store.flush();
     }
 

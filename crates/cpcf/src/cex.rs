@@ -17,7 +17,8 @@ pub struct Counterexample {
     pub blame: CBlame,
     /// Concrete expressions for each opaque input label.
     pub bindings: Vec<(Label, Expr)>,
-    /// Whether a concrete re-run confirmed the blame.
+    /// Whether a concrete re-run confirmed the blame. The analyzer reports
+    /// a counterexample only once this holds.
     pub validated: bool,
 }
 

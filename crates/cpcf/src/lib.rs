@@ -65,8 +65,8 @@
 //!   [`SessionStats`] so harnesses can report solver work per benchmark.
 //!   Alongside verdicts, workers exchange **theory lemmas** through a
 //!   [`SharedLemmaPool`] (atom ids are process-global in `folic`, so a
-//!   lemma is meaningful in every worker); `CPCF_LEMMA_SHARING=off` is the
-//!   ablation that keeps every session's lemmas private.
+//!   lemma is meaningful in every worker). Every run shares lemmas: the
+//!   scheduler creates a pool whenever the options carry none.
 //! * [`store`] — warm starts across *processes*: an append-only,
 //!   content-addressed on-disk store ([`AnalysisStore`]) persisting proved
 //!   verdicts (keyed by heap fingerprint), theory lemmas (by atom content)
@@ -117,8 +117,8 @@ pub mod store;
 pub mod syntax;
 
 pub use analyze::{
-    analyze, analyze_module, analyze_source, analyze_source_with, default_workers, resolve_workers,
-    AnalyzeOptions, ExportAnalysis, ModuleReport,
+    analyze, analyze_module, analyze_source, analyze_source_with, resolve_workers, AnalyzeOptions,
+    ExportAnalysis, ModuleReport,
 };
 pub use cex::Counterexample;
 pub use eval::{Ctx, EvalOptions, Outcome};

@@ -200,11 +200,6 @@ impl SharedVerdictCache {
         self.inner.persist.is_some()
     }
 
-    /// The persistent store backing this cache, if any.
-    pub fn backing_store(&self) -> Option<&crate::store::AnalysisStore> {
-        self.inner.persist.as_ref()
-    }
-
     fn shard(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, (u32, Proof)>> {
         &self.inner.shards[(key.0 as usize) % CACHE_SHARDS]
     }
@@ -378,11 +373,6 @@ impl ProverSession {
         let mut session = ProverSession::with_config(config);
         session.shared = Some(shared);
         session
-    }
-
-    /// The shared cache backing this session, if any.
-    pub fn shared_cache(&self) -> Option<&SharedVerdictCache> {
-        self.shared.as_ref()
     }
 
     /// Connects this session to a cross-worker theory-lemma pool

@@ -50,10 +50,9 @@
 //!   through a fresh [`folic::Arena`] on the way in.
 //! * **Engine configuration** is fingerprinted ([`EngineFingerprint`]) over
 //!   every setting and budget that can change a verdict (solver and prover
-//!   configuration, the `CPCF_LEMMA_SHARING` gate, eval budgets, context
-//!   depth). The fingerprint names the store file *and* sits in the header,
-//!   so differently configured runs never read each other's verdicts — a
-//!   mismatch is a cold start, unit-tested below.
+//!   configuration, eval budgets, context depth). The fingerprint names the
+//!   store file *and* sits in the header, so differently configured runs never
+//!   read each other's verdicts — a mismatch is a cold start, unit-tested below.
 //!
 //! ## Incremental re-verification
 //!
@@ -830,8 +829,8 @@ fn decode_export_analysis(dec: &mut Dec) -> Option<ExportAnalysis> {
 ///
 /// Two runs share stored verdicts only when their fingerprints match: the
 /// fingerprint names the store file and sits in its header, so runs under
-/// different engine configurations (reference engines, `CPCF_LEMMA_SHARING`;
-/// worker counts aside) can point at the same `--store` directory without
+/// different engine configurations (reference engines, budgets; worker
+/// counts aside) can point at the same `--store` directory without
 /// cross-contamination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EngineFingerprint(pub u64);
@@ -854,9 +853,8 @@ impl EngineFingerprint {
 
     /// The fingerprint of an analysis configuration: prover engine and
     /// solver configuration (solver core and theory gates included),
-    /// evaluator budgets, context depth, validation, and the
-    /// `CPCF_LEMMA_SHARING` gate. Worker counts are deliberately excluded —
-    /// verdicts are scheduling-independent by construction.
+    /// evaluator budgets and context depth. Worker counts are deliberately
+    /// excluded — verdicts are scheduling-independent by construction.
     pub fn for_analyze(options: &crate::analyze::AnalyzeOptions) -> Self {
         let eval = &options.eval;
         let prove = &eval.prove;
@@ -866,12 +864,8 @@ impl EngineFingerprint {
             format!("fresh_per_query={}", prove.fresh_per_query),
             format!("fuel={}", eval.fuel),
             format!("max_branches={}", eval.max_branches),
-            format!("use_case_maps={}", eval.use_case_maps),
             format!("havoc_depth={}", eval.havoc_depth),
-            format!("listof_depth={}", eval.listof_depth),
-            format!("validate={}", options.validate),
             format!("context_depth={}", options.context_depth),
-            format!("lemma_sharing={}", folic::default_lemma_sharing()),
         ])
     }
 }
@@ -1432,7 +1426,7 @@ mod tests {
 
     #[test]
     fn distinct_fingerprints_use_distinct_files() {
-        let dir = temp_store_dir("ablation");
+        let dir = temp_store_dir("distinct");
         let a = AnalysisStore::open(&dir, fp(10)).expect("open a");
         let b = AnalysisStore::open(&dir, fp(11)).expect("open b");
         assert_ne!(a.path(), b.path());
@@ -1441,7 +1435,7 @@ mod tests {
         assert_eq!(
             b.lookup_verdict(&sample_key(0)),
             None,
-            "ablation legs never cross-contaminate"
+            "differently configured engines never cross-contaminate"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1589,46 +1583,52 @@ mod tests {
 
     #[test]
     fn engine_fingerprint_tracks_verdict_relevant_options() {
-        let base = crate::analyze::AnalyzeOptions::default();
-        let mut bigger_fuel = base.clone();
-        bigger_fuel.eval.fuel += 1;
-        let mut deeper = base.clone();
-        deeper.context_depth += 1;
-        let same = base.clone();
-        assert_eq!(
-            EngineFingerprint::for_analyze(&base),
-            EngineFingerprint::for_analyze(&same)
-        );
-        assert_ne!(
-            EngineFingerprint::for_analyze(&base),
-            EngineFingerprint::for_analyze(&bigger_fuel)
-        );
-        assert_ne!(
-            EngineFingerprint::for_analyze(&base),
-            EngineFingerprint::for_analyze(&deeper)
-        );
-        // Reference engines are selected through the options alone, and
-        // each gets its own fingerprint.
-        let mut lia_only = base.clone();
-        lia_only.eval.prove.solver.theory.theory_dl = !base.eval.prove.solver.theory.theory_dl;
-        let mut fresh = base.clone();
-        fresh.eval.prove.fresh_per_query = !base.eval.prove.fresh_per_query;
-        for reference in [&lia_only, &fresh] {
-            assert_ne!(
-                EngineFingerprint::for_analyze(&base),
-                EngineFingerprint::for_analyze(reference)
-            );
+        use crate::analyze::AnalyzeOptions;
+        let base = AnalyzeOptions::default();
+        let fingerprint = EngineFingerprint::for_analyze;
+        // Every budget and every reference-engine selector is a separate
+        // token: changing any one of them gives a fingerprint of its own.
+        type Change = fn(&mut AnalyzeOptions);
+        let variants: Vec<(&str, Change)> = vec![
+            ("fuel", |o| o.eval.fuel += 1),
+            ("max_branches", |o| o.eval.max_branches += 1),
+            ("havoc_depth", |o| o.eval.havoc_depth += 1),
+            ("context_depth", |o| o.context_depth += 1),
+            ("fresh_per_query", |o| {
+                o.eval.prove.fresh_per_query = !o.eval.prove.fresh_per_query
+            }),
+            ("core", |o| {
+                o.eval.prove.solver.core = folic::CoreMode::Scratch
+            }),
+            ("theory_dl", |o| {
+                o.eval.prove.solver.theory.theory_dl = !o.eval.prove.solver.theory.theory_dl
+            }),
+            ("max_iterations", |o| {
+                o.eval.prove.solver.theory.max_iterations += 1
+            }),
+            ("sat_reduce_limit", |o| {
+                o.eval.prove.solver.theory.sat_reduce_limit = Some(1)
+            }),
+        ];
+        let mut seen = vec![("default", fingerprint(&base))];
+        for (name, change) in variants {
+            let mut changed = base.clone();
+            change(&mut changed);
+            let print = fingerprint(&changed);
+            for (other, other_print) in &seen {
+                assert_ne!(print, *other_print, "{name} collides with {other}");
+            }
+            seen.push((name, print));
         }
-        assert_ne!(
-            EngineFingerprint::for_analyze(&lia_only),
-            EngineFingerprint::for_analyze(&fresh)
-        );
-        // Worker counts are excluded: verdicts are scheduling-independent.
-        let mut sharded = base.clone();
-        sharded.workers = 7;
-        assert_eq!(
-            EngineFingerprint::for_analyze(&base),
-            EngineFingerprint::for_analyze(&sharded)
-        );
+        assert_eq!(fingerprint(&base), fingerprint(&base.clone()));
+        // Scheduling and sharing are excluded: verdicts do not depend on
+        // the worker count or on which pool and cache the sessions share.
+        let shared = AnalyzeOptions {
+            workers: 7,
+            shared_cache: Some(crate::SharedVerdictCache::new()),
+            shared_lemmas: Some(SharedLemmaPool::new()),
+            ..AnalyzeOptions::default()
+        };
+        assert_eq!(fingerprint(&base), fingerprint(&shared));
     }
 }

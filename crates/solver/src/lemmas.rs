@@ -21,10 +21,6 @@
 //! imports at every check boundary only ever pays for lemmas it has not yet
 //! seen.
 //!
-//! Sharing is gated by the `CPCF_LEMMA_SHARING` environment variable
-//! ([`default_lemma_sharing`]): `on` (the default) or `off` (the ablation
-//! leg that measures what sharing buys).
-//!
 //! Lemmas also persist well: their atoms are universally valid arithmetic
 //! facts, so `cpcf`'s analysis store serializes them *by content* (atom
 //! structure, not process-local ids — see [`crate::arena::global_atom`])
@@ -116,26 +112,10 @@ impl SharedLemmaPool {
     }
 }
 
-/// Whether lemma sharing is enabled by default, from the
-/// `CPCF_LEMMA_SHARING` environment variable: `on` (the default when unset)
-/// or `off` (the ablation). An unrecognised value falls back to `on` with a
-/// once-per-process warning, so a typo in a CI matrix cannot silently test
-/// the wrong configuration.
+/// Always `true`: every analysis run shares lemmas. Kept only because the
+/// `perfbench` benchmark calls it.
 pub fn default_lemma_sharing() -> bool {
-    match std::env::var("CPCF_LEMMA_SHARING").ok().as_deref() {
-        Some("off") => false,
-        Some("on") | None => true,
-        Some(other) => {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!(
-                    "warning: unrecognised CPCF_LEMMA_SHARING `{other}` \
-                     (expected on|off); using on"
-                );
-            });
-            true
-        }
-    }
+    true
 }
 
 #[cfg(test)]

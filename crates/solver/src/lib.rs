@@ -55,8 +55,7 @@
 //! * [`lemmas`] — the [`SharedLemmaPool`] exchanging theory lemmas across
 //!   worker threads: atom ids are process-global (see [`arena`]), so a
 //!   blocking clause the theory refuted in one core is a valid clause in
-//!   every sibling core, imported at check boundaries and gated by
-//!   `CPCF_LEMMA_SHARING=on|off`.
+//!   every sibling core, imported at check boundaries.
 //! * [`solver`] — the user-facing [`Solver`] with `push`/`pop`, validity
 //!   queries and the three-valued [`Proof`] relation used by symbolic
 //!   execution.

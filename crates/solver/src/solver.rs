@@ -131,7 +131,8 @@ pub enum Validity {
 /// Configuration for [`Solver`].
 #[derive(Debug, Clone, Copy)]
 pub struct SolverConfig {
-    /// Theory-level configuration (iteration limits, value bounds).
+    /// Theory-level configuration (iteration limit, clause-reduction
+    /// threshold, theory gates).
     pub theory: TheoryConfig,
     /// Which engine runs the satisfiability checks (default:
     /// [`CoreMode::Persistent`]).
@@ -343,16 +344,10 @@ impl Solver {
         self.run_check(assumptions)
     }
 
-    /// Alias of [`Solver::check_assuming`], kept for callers written against
-    /// the original API.
-    pub fn check_with(&self, extra: &[Formula]) -> SmtResult {
-        self.check_assuming(extra)
-    }
-
     /// Determines whether `formula` is valid under the current assertions:
     /// valid iff `assertions ∧ ¬formula` is unsatisfiable.
     pub fn check_valid(&self, formula: &Formula) -> Validity {
-        match self.check_with(&[Formula::not(formula.clone())]) {
+        match self.check_assuming(&[Formula::not(formula.clone())]) {
             SmtResult::Unsat => Validity::Valid,
             SmtResult::Sat(_) => Validity::Invalid,
             SmtResult::Unknown => Validity::Unknown,
@@ -365,7 +360,7 @@ impl Solver {
         match self.check_valid(goal) {
             Validity::Valid => Proof::Proved,
             Validity::Unknown => Proof::Ambiguous,
-            Validity::Invalid => match self.check_with(std::slice::from_ref(goal)) {
+            Validity::Invalid => match self.check_assuming(std::slice::from_ref(goal)) {
                 SmtResult::Unsat => Proof::Refuted,
                 SmtResult::Sat(_) => Proof::Ambiguous,
                 SmtResult::Unknown => Proof::Ambiguous,
@@ -585,9 +580,9 @@ mod tests {
     fn check_with_does_not_mutate() {
         let mut solver = Solver::new();
         solver.assert(Formula::ge(x(0), Term::int(0)));
-        let result = solver.check_with(&[Formula::lt(x(0), Term::int(0))]);
+        let result = solver.check_assuming(&[Formula::lt(x(0), Term::int(0))]);
         assert!(result.is_unsat());
-        // The contradictory extra assertion was not retained.
+        // The contradictory assumption was not retained.
         assert!(solver.check().is_sat());
         assert_eq!(solver.assertions().len(), 1);
     }

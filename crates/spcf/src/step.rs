@@ -54,8 +54,8 @@ impl State {
 pub struct StepOptions {
     /// Use `case` maps to memoise applications of opaque first-order
     /// functions (the paper's completeness device). Disabling this recovers
-    /// the behaviour of the original SCPCF semantics and is exposed for the
-    /// ablation benchmark.
+    /// the behaviour of the original SCPCF semantics, which
+    /// `tests/worked_example.rs` uses to show the gap case maps close.
     pub use_case_maps: bool,
 }
 

@@ -124,21 +124,6 @@ fn or_contracts_accept_both_branches() {
 }
 
 #[test]
-fn disabling_validation_still_reports_candidates() {
-    let options = AnalyzeOptions {
-        validate: false,
-        ..AnalyzeOptions::default()
-    };
-    let report = analyze_source_with(
-        r#"(module a (provide [f (-> integer? integer?)]) (define (f n) (/ 1 n)))"#,
-        &options,
-    )
-    .expect("parses");
-    let cex = report.first_counterexample().expect("counterexample");
-    assert!(!cex.validated, "validation was disabled");
-}
-
-#[test]
 fn tight_budgets_degrade_gracefully() {
     let options = AnalyzeOptions {
         eval: EvalOptions {
