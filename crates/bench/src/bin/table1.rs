@@ -9,12 +9,11 @@
 //! cargo run --release -p bench --bin table1 \
 //!     [--group kobayashi|terauchi|occurrence|games|others] \
 //!     [--workers N] [--differential] \
-//!     [--store DIR] [--incremental] [--timing] [--json]
+//!     [--store DIR] [--incremental] [--json]
 //! ```
 //!
-//! `--workers N` shards the run over `N` threads (programs across threads,
-//! and a module's exports across threads inside the analyzer; `0` means one
-//! worker per hardware thread; default: 1); `--differential` runs both the
+//! `--workers N` shards the programs over `N` threads (`0` means one worker
+//! per hardware thread; default: 1); `--differential` runs both the
 //! incremental prover session and the fresh-solver-per-query reference
 //! engine and checks the verdicts agree; `--store DIR` attaches the
 //! persistent analysis store in `DIR` (verdicts and theory lemmas survive
@@ -22,17 +21,17 @@
 //! populates it, later runs warm-start from it — see the store section of
 //! this crate's README); `--incremental` additionally skips exports whose
 //! dependency-cone hash already has a stored verdict (requires `--store`);
-//! `--timing` appends a per-row and aggregate wall-clock table (monotonic
-//! clock); `--json` emits the machine-readable report (per-row and
-//! aggregate stats — including encoding, heap snapshot/sharing,
-//! per-worker, cross-variant cache-hit and store counters — plus
-//! `analysis_ms`/`wall_ms` timing) on stdout.
+//! `--json` emits the machine-readable report (per-row and aggregate
+//! stats — including encoding, heap snapshot/sharing, cross-variant
+//! cache-hit and store counters — plus `analysis_ms`/`wall_ms` timing) on
+//! stdout. The text report ends with the Table 1 summary, the one-line
+//! `timing:` aggregate (monotonic clock) and the `solver stats:` line.
 
 use std::time::Instant;
 
 use scv_bench::corpus::{all_programs, group_programs, Group};
 use scv_bench::harness::{run_all, run_program_differential, BenchOptions};
-use scv_bench::report::{render_table, summarize, summarize_stats, timing_table, to_json};
+use scv_bench::report::{render_table, summarize, summarize_stats, timing_line, to_json};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -52,7 +51,6 @@ fn main() {
             }
         });
     let json = args.iter().any(|a| a == "--json");
-    let timing = args.iter().any(|a| a == "--timing");
     let differential = args.iter().any(|a| a == "--differential");
     let workers = args.iter().position(|a| a == "--workers").map(|i| {
         let Some(value) = args.get(i + 1) else {
@@ -153,9 +151,7 @@ fn main() {
         return;
     }
     println!("{}", render_table(&results));
-    if timing {
-        println!("{}", timing_table(&results, wall_ms));
-    }
     println!("{}", summarize(&results));
+    println!("{}", timing_line(&results, wall_ms));
     println!("{}", summarize_stats(&results));
 }

@@ -1,14 +1,11 @@
 //! Running the analysis on corpus programs and collecting Table 1 rows.
 //!
-//! Parallelism operates at two grains, both driven by
-//! [`AnalyzeOptions::workers`]: inside `cpcf` the per-export analyses of a
-//! module are sharded across worker threads, and here the corpus programs
-//! themselves are sharded across the same number of threads
-//! ([`run_all`]) — the corpus is dominated by single-export modules, so the
-//! program-level grain is where most of the wall-clock saving comes from.
-//! Each program gets one [`SharedVerdictCache`] spanning its correct and
-//! faulty variant runs; the cache's epoch counter makes the cross-variant
-//! verdict reuse measurable ([`ProgramResult::cross_variant_cache_hits`]).
+//! [`run_all`] shards the corpus programs across [`BenchOptions::workers`]
+//! threads; inside `cpcf` each module's exports are analyzed one after
+//! another on the thread that runs the program. Each program gets one
+//! [`SharedVerdictCache`] spanning its correct and faulty variant runs; the
+//! cache's epoch counter makes the cross-variant verdict reuse measurable
+//! ([`ProgramResult::cross_variant_cache_hits`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -24,9 +21,11 @@ use crate::corpus::{BenchProgram, Group};
 /// Options for a harness run.
 #[derive(Debug, Clone)]
 pub struct BenchOptions {
-    /// Options handed to the analyzer. `analyze.workers` doubles as the
-    /// program-level shard count of [`run_all`].
+    /// Options handed to the analyzer.
     pub analyze: AnalyzeOptions,
+    /// How many threads [`run_all`] shards the programs across; `0` means
+    /// one per hardware thread. Defaults to `1`.
+    pub workers: usize,
 }
 
 impl Default for BenchOptions {
@@ -42,6 +41,7 @@ impl Default for BenchOptions {
                 context_depth: 2,
                 ..AnalyzeOptions::default()
             },
+            workers: 1,
         }
     }
 }
@@ -62,6 +62,7 @@ impl BenchOptions {
                 context_depth: 1,
                 ..AnalyzeOptions::default()
             },
+            workers: 1,
         }
     }
 
@@ -72,12 +73,22 @@ impl BenchOptions {
         self
     }
 
-    /// The same budget sharded over `workers` threads (both the per-export
-    /// and the program-level grain). `0` means "auto": one worker per
-    /// hardware thread.
+    /// The same budget with [`run_all`]'s programs sharded over `workers`
+    /// threads. `0` means "auto": one worker per hardware thread.
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.analyze.workers = workers;
+        self.workers = workers;
         self
+    }
+}
+
+/// Resolves a requested worker count to an actual one: `0` ("auto") becomes
+/// the machine's available parallelism (1 when that cannot be determined),
+/// any other value is taken as-is.
+fn resolve_workers(requested: usize) -> usize {
+    if requested == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        requested
     }
 }
 
@@ -158,9 +169,6 @@ pub struct ProgramResult {
     /// epoch is advanced between them). Zero when the cache is disabled
     /// (fresh-per-query mode).
     pub cross_variant_cache_hits: u64,
-    /// Per-analysis-worker statistics, summed across both variants by
-    /// worker index (a single entry when the analysis ran sequentially).
-    pub worker_summaries: Vec<SessionStats>,
     /// Stored theory lemmas re-published into this program's lemma pool
     /// before analysis (zero without `--store`, and on the cold run).
     pub lemmas_warm_started: u64,
@@ -183,17 +191,6 @@ impl Serialize for ProgramResult {
             .field("expected_unsolved", &self.expected_unsolved)
             .raw_field("stats", stats_json(&self.stats))
             .field("cross_variant_cache_hits", &self.cross_variant_cache_hits)
-            .raw_field(
-                "per_worker",
-                format!(
-                    "[{}]",
-                    self.worker_summaries
-                        .iter()
-                        .map(stats_json)
-                        .collect::<Vec<_>>()
-                        .join(",")
-                ),
-            )
             .field("lemmas_warm_started", &self.lemmas_warm_started)
             .field("exports_skipped", &self.exports_skipped)
             .finish()
@@ -202,11 +199,11 @@ impl Serialize for ProgramResult {
 
 impl ProgramResult {
     /// True if the row behaves as the paper's evaluation expects: the
-    /// correct variant produces no counterexample and the faulty variant
-    /// produces one (or, for the `*` rows, a probable violation).
+    /// correct variant verifies and the faulty variant produces a
+    /// counterexample (or, for the `*` rows, a probable violation or an
+    /// exhausted budget).
     pub fn matches_expectation(&self) -> bool {
-        let correct_ok = self.correct_verdict != Verdict::Counterexample
-            && self.correct_verdict != Verdict::ParseError;
+        let correct_ok = self.correct_verdict == Verdict::Verified;
         let faulty_ok = if self.expected_unsolved {
             matches!(
                 self.faulty_verdict,
@@ -239,17 +236,10 @@ pub fn contract_order(contract: &Expr) -> u32 {
 fn analyze_variant(
     source: &str,
     options: &BenchOptions,
-) -> (Verdict, u128, u32, SessionStats, Vec<SessionStats>, u64) {
+) -> (Verdict, u128, u32, SessionStats, u64) {
     let start = Instant::now();
     let Ok((program, _)) = cpcf::parse_program(source) else {
-        return (
-            Verdict::ParseError,
-            0,
-            0,
-            SessionStats::default(),
-            Vec::new(),
-            0,
-        );
+        return (Verdict::ParseError, 0, 0, SessionStats::default(), 0);
     };
     let module_name = program
         .modules
@@ -289,23 +279,8 @@ fn analyze_variant(
         elapsed,
         order,
         report.stats,
-        report.worker_stats,
         report.skipped.len() as u64,
     )
-}
-
-/// Sums two per-worker summary lists by worker index.
-fn merge_worker_summaries(
-    mut left: Vec<SessionStats>,
-    right: &[SessionStats],
-) -> Vec<SessionStats> {
-    if left.len() < right.len() {
-        left.resize(right.len(), SessionStats::default());
-    }
-    for (slot, summary) in left.iter_mut().zip(right) {
-        slot.merge(summary);
-    }
-    left
 }
 
 /// Runs both variants of a corpus program. The two runs share one
@@ -331,16 +306,16 @@ pub fn run_program(program: &BenchProgram, options: &BenchOptions) -> ProgramRes
         .shared_lemmas
         .get_or_insert_with(cpcf::SharedLemmaPool::new);
     // Warm-start the program's lemma pool from the store up front so the
-    // per-program count is attributable; the scheduler leaves a pool it was
+    // per-program count is attributable; the analyzer leaves a pool it was
     // handed to its owner.
     let lemmas_warm_started = match &options.analyze.store {
         Some(store) => store.warm_start_lemmas(pool),
         None => 0,
     };
-    let (correct_verdict, correct_ms, order, correct_stats, correct_workers, correct_skipped) =
+    let (correct_verdict, correct_ms, order, correct_stats, correct_skipped) =
         analyze_variant(program.correct, &options);
     cache.advance_epoch();
-    let (faulty_verdict, faulty_ms, faulty_order, faulty_stats, faulty_workers, faulty_skipped) =
+    let (faulty_verdict, faulty_ms, faulty_order, faulty_stats, faulty_skipped) =
         analyze_variant(program.faulty, &options);
     eprintln!(
         "[table1]   {}: correct {:?} in {} ms, faulty {:?} in {} ms",
@@ -360,30 +335,22 @@ pub fn run_program(program: &BenchProgram, options: &BenchOptions) -> ProgramRes
         expected_unsolved: program.expected_unsolved,
         stats,
         cross_variant_cache_hits: cache.cross_epoch_hits(),
-        worker_summaries: merge_worker_summaries(correct_workers, &faulty_workers),
         lemmas_warm_started,
         exports_skipped: correct_skipped + faulty_skipped,
     }
 }
 
-/// Runs a list of programs, sharding them across `options.analyze.workers`
-/// threads (each program's two variants stay on one thread so the
-/// cross-variant cache sharing is preserved). Results come back in corpus
-/// order regardless of completion order.
+/// Runs a list of programs, sharding them across `options.workers` threads
+/// (each program's two variants stay on one thread so the cross-variant
+/// cache sharing is preserved). Results come back in corpus order
+/// regardless of completion order.
 pub fn run_all(programs: &[BenchProgram], options: &BenchOptions) -> Vec<ProgramResult> {
     // `workers: 0` means "auto" (one per hardware thread), then capped by
     // the number of programs there actually are to run.
-    let workers = cpcf::resolve_workers(options.analyze.workers).clamp(1, programs.len().max(1));
+    let workers = resolve_workers(options.workers).clamp(1, programs.len().max(1));
     if workers <= 1 {
         return programs.iter().map(|p| run_program(p, options)).collect();
     }
-    // The thread budget is shared, not multiplied: with the programs already
-    // sharded across `workers` threads, each program's analysis runs its
-    // exports sequentially (export-level sharding pays off when a single
-    // program is analysed in isolation, e.g. via `run_program`).
-    let mut options = options.clone();
-    options.analyze.workers = 1;
-    let options = &options;
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<ProgramResult>> = vec![None; programs.len()];
     std::thread::scope(|scope| {
@@ -550,10 +517,6 @@ mod tests {
                 ..SessionStats::default()
             },
             cross_variant_cache_hits: 2,
-            worker_summaries: vec![SessionStats {
-                queries: 10,
-                ..SessionStats::default()
-            }],
             lemmas_warm_started: 4,
             exports_skipped: 1,
         };
@@ -565,7 +528,6 @@ mod tests {
             assert!(json.contains(&format!("\"{name}\":{value}")), "{name}");
         }
         assert!(json.contains("\"cross_variant_cache_hits\":2"));
-        assert!(json.contains("\"per_worker\":[{\"queries\":10,"));
         assert!(json.contains("\"lemmas_warm_started\":4"));
         assert!(json.contains("\"exports_skipped\":1"));
     }
@@ -582,34 +544,46 @@ mod tests {
             "the faulty variant must reuse verdicts from the correct run: {result:?}"
         );
         assert!(
-            result.stats.shared_cache_hits >= result.cross_variant_cache_hits,
-            "shared hits include the cross-variant ones: {:?}",
+            result.stats.cache_hits >= result.cross_variant_cache_hits,
+            "cache hits include the cross-variant ones: {:?}",
             result.stats
         );
     }
 
     #[test]
-    fn worker_count_does_not_change_row_verdicts() {
-        let program = group_programs(crate::corpus::Group::Kobayashi)
+    fn run_all_keeps_corpus_order_under_program_sharding() {
+        let programs: Vec<_> = group_programs(crate::corpus::Group::Games)
             .into_iter()
-            .find(|p| p.name == "intro1")
-            .expect("intro1 exists");
-        let sequential = run_program(&program, &BenchOptions::quick());
-        let sharded = run_program(&program, &BenchOptions::quick().with_workers(4));
-        assert_eq!(sequential.correct_verdict, sharded.correct_verdict);
-        assert_eq!(sequential.faulty_verdict, sharded.faulty_verdict);
+            .chain(
+                group_programs(crate::corpus::Group::Occurrence)
+                    .into_iter()
+                    .take(3),
+            )
+            .collect();
+        let row_verdicts = |rows: &[ProgramResult]| -> Vec<(String, Verdict, Verdict)> {
+            rows.iter()
+                .map(|r| (r.name.clone(), r.correct_verdict, r.faulty_verdict))
+                .collect()
+        };
+        let sequential = run_all(&programs, &BenchOptions::quick());
+        let sharded = run_all(&programs, &BenchOptions::quick().with_workers(3));
+        let names: Vec<&str> = sharded.iter().map(|r| r.name.as_str()).collect();
+        let expected: Vec<&str> = programs.iter().map(|p| p.name).collect();
+        assert_eq!(names, expected);
+        assert_eq!(row_verdicts(&sequential), row_verdicts(&sharded));
     }
 
     #[test]
-    fn run_all_keeps_corpus_order_under_program_sharding() {
-        let programs: Vec<_> = group_programs(crate::corpus::Group::Occurrence)
-            .into_iter()
-            .take(3)
-            .collect();
-        let rows = run_all(&programs, &BenchOptions::quick().with_workers(3));
-        let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
-        let expected: Vec<&str> = programs.iter().map(|p| p.name).collect();
-        assert_eq!(names, expected);
+    fn zero_workers_resolves_to_available_parallelism() {
+        let auto = resolve_workers(0);
+        assert!(auto >= 1, "auto never resolves below one worker");
+        assert_eq!(
+            auto,
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        );
+        // Positive requests pass through unchanged.
+        assert_eq!(resolve_workers(1), 1);
+        assert_eq!(resolve_workers(7), 7);
     }
 
     #[test]

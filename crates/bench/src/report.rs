@@ -115,36 +115,16 @@ pub fn summarize_stats(results: &[ProgramResult]) -> String {
     line
 }
 
-/// Per-row and aggregate wall-clock timing (the `--timing` view): analysis
-/// milliseconds for each variant and their sum per row, the aggregate
-/// analysis time across rows, and the harness's end-to-end monotonic
-/// wall-clock (which also covers parsing and, under `--workers`, reflects
-/// thread-level overlap).
-pub fn timing_table(results: &[ProgramResult], wall_ms: u128) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<16} {:>12} {:>12} {:>12}",
-        "Program", "Correct(ms)", "Faulty(ms)", "Total(ms)"
-    );
-    let mut aggregate = 0u128;
-    for result in results {
-        let total = result.correct_ms + result.faulty_ms;
-        aggregate += total;
-        let _ = writeln!(
-            out,
-            "{:<16} {:>12} {:>12} {:>12}",
-            result.name, result.correct_ms, result.faulty_ms, total
-        );
-    }
-    let _ = writeln!(
-        out,
+/// The one-line timing aggregate: the summed per-row analysis time and the
+/// harness's end-to-end monotonic wall-clock (which also covers parsing and,
+/// under `--workers`, reflects thread-level overlap).
+pub fn timing_line(results: &[ProgramResult], wall_ms: u128) -> String {
+    format!(
         "timing: {} rows, {} ms analysis time, {} ms wall-clock",
         results.len(),
-        aggregate,
+        total_analysis_ms(results),
         wall_ms
-    );
-    out
+    )
 }
 
 /// The summed per-row analysis time (correct + faulty variants), in
@@ -191,7 +171,6 @@ mod tests {
             expected_unsolved: false,
             stats,
             cross_variant_cache_hits: 1,
-            worker_summaries: vec![stats],
             lemmas_warm_started: 2,
             exports_skipped: 1,
         }
@@ -217,6 +196,21 @@ mod tests {
         ];
         let summary = summarize(&rows);
         assert!(summary.starts_with("1/2"));
+    }
+
+    #[test]
+    fn summary_requires_verified_correct_variants() {
+        // A correct variant that ran out of budget or reached only a
+        // probable error is not the known answer, even when the faulty
+        // variant is refuted.
+        let mut budget = sample("hrec", Verdict::Counterexample);
+        budget.correct_verdict = Verdict::Exhausted;
+        let mut probable = sample("p", Verdict::Counterexample);
+        probable.correct_verdict = Verdict::ProbableError;
+        assert!(!budget.matches_expectation());
+        assert!(!probable.matches_expectation());
+        let rows = vec![sample("a", Verdict::Counterexample), budget, probable];
+        assert!(summarize(&rows).starts_with("1/3"), "{}", summarize(&rows));
     }
 
     #[test]
@@ -277,17 +271,14 @@ mod tests {
     }
 
     #[test]
-    fn timing_table_reports_rows_and_aggregates() {
+    fn timing_line_reports_aggregates() {
         let rows = vec![
             sample("a", Verdict::Counterexample),
             sample("b", Verdict::Verified),
         ];
-        let table = timing_table(&rows, 99);
-        assert!(table.contains("Correct(ms)"));
-        assert!(table.contains("a"));
-        assert!(
-            table.contains("2 rows, 24 ms analysis time, 99 ms wall-clock"),
-            "{table}"
+        assert_eq!(
+            timing_line(&rows, 99),
+            "timing: 2 rows, 24 ms analysis time, 99 ms wall-clock"
         );
         assert_eq!(total_analysis_ms(&rows), 24);
     }

@@ -116,7 +116,7 @@ fn warm_corpus_rerun_is_bit_identical_and_reproves_less() {
 /// The analyze options the corpus runs use, for fingerprint computation
 /// (must match `corpus_options` in every engine-shaping respect).
 fn corpus_options_probe() -> AnalyzeOptions {
-    BenchOptions::quick().with_workers(0).analyze
+    BenchOptions::quick().analyze
 }
 
 /// Replays `seeds` traces through a store-backed session per trace,

@@ -13,9 +13,10 @@ use crate::syntax::{CBlame, Expr, Label, Module, Program, Provide};
 use super::context::{context_expression, instantiate};
 use super::{AnalyzeOptions, ExportAnalysis, CONTEXT_PARTY};
 
-/// A prover session configured per `options`: shared-cache-backed when the
-/// analysis carries a [`super::SharedVerdictCache`], private otherwise, and
-/// attached to the run's theory-lemma pool when one is present.
+/// A prover session configured per `options`: backed by the analysis's
+/// [`super::SharedVerdictCache`] when it carries one, by a cache of its own
+/// otherwise, and attached to the run's theory-lemma pool when one is
+/// present.
 pub(super) fn new_session(options: &AnalyzeOptions) -> ProverSession {
     let session = match &options.shared_cache {
         Some(cache) => {

@@ -16,14 +16,14 @@
 //! * `context` — most-general-context synthesis and counterexample
 //!   instantiation ([`instantiate`]);
 //! * `export` — the single-export analysis and concrete validation;
-//! * `scheduler` — the worker pool sharding per-export analyses across
-//!   threads ([`AnalyzeOptions::workers`]), one long-lived
-//!   [`crate::ProverSession`] per worker.
+//! * `cone` — dependency-cone hashes for incremental re-verification.
+//!
+//! [`analyze_module`] analyzes a module's exports one after another on the
+//! calling thread, through one long-lived [`crate::ProverSession`].
 
 mod cone;
 mod context;
 mod export;
-mod scheduler;
 
 pub use cone::export_cone_hash;
 pub use context::instantiate;
@@ -45,23 +45,16 @@ pub struct AnalyzeOptions {
     pub eval: EvalOptions,
     /// How many nested `->` ranges the synthesized context applies.
     pub context_depth: u32,
-    /// How many worker threads shard the per-export analyses. `1` runs the
-    /// exports sequentially (still through the scheduler, with one reused
-    /// session); `0` means "auto": one worker per hardware thread, as
-    /// reported by [`std::thread::available_parallelism`] (resolved by
-    /// [`resolve_workers`] at scheduling time, so the same options value
-    /// adapts to the machine it runs on). Defaults to `1`.
-    pub workers: usize,
-    /// A verdict cache shared across this run's workers and, when the same
-    /// handle is passed to several runs, across runs — e.g. the correct and
-    /// faulty variants of a benchmark program. `None` keeps every session's
-    /// cache private.
+    /// A verdict cache shared across this run's prover sessions and, when
+    /// the same handle is passed to several runs, across runs — e.g. the
+    /// correct and faulty variants of a benchmark program. `None` gives
+    /// every session a cache of its own.
     pub shared_cache: Option<SharedVerdictCache>,
-    /// A theory-lemma pool shared across this run's workers (and, when the
-    /// same handle spans several runs, across runs). `None` makes the
-    /// scheduler create a pool for this run.
+    /// A theory-lemma pool shared across this run's prover sessions (and,
+    /// when the same handle spans several runs, across runs). `None` makes
+    /// the analysis create a pool for this run.
     pub shared_lemmas: Option<SharedLemmaPool>,
-    /// A persistent [`crate::AnalysisStore`]. When set, the scheduler
+    /// A persistent [`crate::AnalysisStore`]. When set, the analysis
     /// warm-starts a lemma pool it created from it before analyzing (a pool
     /// passed in `shared_lemmas` is the caller's to warm), records every
     /// freshly computed per-export verdict under its dependency-cone hash
@@ -76,23 +69,11 @@ pub struct AnalyzeOptions {
     pub incremental: bool,
 }
 
-/// Resolves a requested worker count to an actual one: `0` ("auto") becomes
-/// the machine's available parallelism (1 when that cannot be determined),
-/// any other value is taken as-is.
-pub fn resolve_workers(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        requested
-    }
-}
-
 impl Default for AnalyzeOptions {
     fn default() -> Self {
         AnalyzeOptions {
             eval: EvalOptions::default(),
             context_depth: 3,
-            workers: 1,
             shared_cache: None,
             shared_lemmas: None,
             store: None,
@@ -136,17 +117,13 @@ impl ExportAnalysis {
 pub struct ModuleReport {
     /// The analysed module.
     pub module: String,
-    /// Per-export verdicts, in module (declaration) order regardless of the
-    /// worker count or completion order.
+    /// Per-export verdicts, in module (declaration) order.
     pub exports: Vec<(String, ExportAnalysis)>,
     /// Aggregated prover-session statistics over every export analysis
     /// (including counterexample validation re-runs): query counts, cache
     /// hits, and how many full versus incremental heap encodings the solver
     /// interaction needed.
     pub stats: SessionStats,
-    /// Per-worker statistics, in worker-index order (one entry when the
-    /// analysis ran sequentially). Summing these gives `stats`.
-    pub worker_stats: Vec<SessionStats>,
     /// Exports whose verdict was reused from the persistent store because
     /// their dependency-cone hash was unchanged (incremental mode only; a
     /// subset of the `exports` names, in module order). Empty outside
@@ -176,30 +153,93 @@ pub fn analyze(program: &Program) -> ModuleReport {
     analyze_module(program, &name, &AnalyzeOptions::default())
 }
 
-/// Analyzes the named module, sharding the per-export analyses across
-/// `options.workers` threads.
+/// Analyzes the named module: its exports one after another, in declaration
+/// order, through one prover session.
 pub fn analyze_module(
     program: &Program,
     module_name: &str,
     options: &AnalyzeOptions,
 ) -> ModuleReport {
-    let Some(module) = program.module(module_name) else {
-        return ModuleReport {
-            module: module_name.to_string(),
-            exports: Vec::new(),
-            stats: SessionStats::default(),
-            worker_stats: Vec::new(),
-            skipped: Vec::new(),
-        };
-    };
-    let (exports, stats, worker_stats, skipped) = scheduler::run_exports(program, module, options);
-    ModuleReport {
+    let mut report = ModuleReport {
         module: module_name.to_string(),
-        exports,
-        stats,
-        worker_stats,
-        skipped,
+        exports: Vec::new(),
+        stats: SessionStats::default(),
+        skipped: Vec::new(),
+    };
+    let Some(module) = program.module(module_name) else {
+        return report;
+    };
+    // One lemma pool per module run: the export session and every throwaway
+    // validation session get a handle to the same pool, so theory lemmas
+    // derived against one export prune the searches of the others. An
+    // explicit pool in the options wins; its owner has already warm-started
+    // it from the store. A pool created here is warm-started before any
+    // session exists: stored theory lemmas are universally valid arithmetic
+    // facts, so the first CDCL search of this run already begins with the
+    // previous run's learned blocking clauses.
+    let store = options.store.as_ref();
+    let mut options = options.clone();
+    let pool = options
+        .shared_lemmas
+        .get_or_insert_with(|| {
+            let pool = SharedLemmaPool::new();
+            if let Some(store) = store {
+                store.warm_start_lemmas(&pool);
+            }
+            pool
+        })
+        .clone();
+    // The pool's earlier lemmas came from the store's warm start or from
+    // earlier runs sharing the pool, which recorded their own; this run
+    // records only the lemmas published from here on.
+    let lemma_cursor = pool.len();
+
+    // Created on the first export that needs analysis, so a fully
+    // incremental run builds no solver at all.
+    let mut session = None;
+    for provide in &module.provides {
+        // Dependency-cone hashes are computed whenever a store is attached:
+        // incremental mode reads them to skip unchanged cones, and every
+        // mode writes freshly computed verdicts under them.
+        let cone_hash = store.map(|_| cone::export_cone_hash(program, module, provide));
+        let reused = match (store, cone_hash) {
+            (Some(store), Some(hash)) if options.incremental => {
+                store.lookup_export(&module.name, &provide.name, hash)
+            }
+            _ => None,
+        };
+        if let Some(analysis) = reused {
+            report.exports.push((provide.name.clone(), analysis));
+            report.skipped.push(provide.name.clone());
+            continue;
+        }
+        // Heaps are thread-local (Rc-based environments), so the per-thread
+        // sharing counters attribute this export's snapshot/copy-on-write
+        // work exactly; the delta rides along in the export's SessionStats.
+        let sharing_before = crate::pmap::sharing_totals();
+        let current = session
+            .take()
+            .unwrap_or_else(|| export::new_session(&options));
+        let (verdict, export_stats, reusable) =
+            export::analyze_export(program, module, provide, &options, current);
+        session = Some(reusable);
+        report.stats.merge(&export_stats);
+        report
+            .stats
+            .merge(&crate::pmap::sharing_totals().since(&sharing_before));
+        if let (Some(store), Some(hash)) = (store, cone_hash) {
+            store.record_export(&module.name, &provide.name, hash, &verdict);
+        }
+        report.exports.push((provide.name.clone(), verdict));
     }
+
+    // Persist the theory lemmas this run published, then flush so a crashed
+    // *next* process still reads a clean file.
+    if let Some(store) = store {
+        store.record_lemmas(&pool, lemma_cursor);
+        store.flush();
+    }
+    report
 }
 
 /// Convenience: parse and analyze source text, returning the report of the
@@ -414,7 +454,7 @@ mod tests {
         assert!(report.all_verified(), "report: {report:?}");
     }
 
-    /// A module with several exports of mixed verdicts, for scheduler tests.
+    /// A module with several exports of mixed verdicts.
     const MULTI_EXPORT: &str = r#"
         (module multi
           (provide [safe (-> integer? integer?)]
@@ -427,67 +467,42 @@ mod tests {
           (define (wrong-range x) x))
     "#;
 
-    fn verdict_kind(analysis: &ExportAnalysis) -> &'static str {
-        match analysis {
-            ExportAnalysis::Verified => "verified",
-            ExportAnalysis::Counterexample(_) => "counterexample",
-            ExportAnalysis::ProbableError(_) => "probable",
-            ExportAnalysis::Exhausted => "exhausted",
-        }
+    fn verdict_kinds(report: &ModuleReport) -> Vec<(&str, &'static str)> {
+        report
+            .exports
+            .iter()
+            .map(|(name, analysis)| {
+                let kind = match analysis {
+                    ExportAnalysis::Verified => "verified",
+                    ExportAnalysis::Counterexample(_) => "counterexample",
+                    ExportAnalysis::ProbableError(_) => "probable",
+                    ExportAnalysis::Exhausted => "exhausted",
+                };
+                (name.as_str(), kind)
+            })
+            .collect()
     }
 
     #[test]
-    fn sharded_analysis_matches_sequential_and_keeps_order() {
-        let sequential = analyze_source_with(
-            MULTI_EXPORT,
-            &AnalyzeOptions {
-                workers: 1,
-                ..AnalyzeOptions::default()
-            },
-        )
-        .expect("parses");
-        let sharded = analyze_source_with(
-            MULTI_EXPORT,
-            &AnalyzeOptions {
-                workers: 4,
-                ..AnalyzeOptions::default()
-            },
-        )
-        .expect("parses");
-        let names: Vec<&str> = sequential.exports.iter().map(|(n, _)| n.as_str()).collect();
+    fn multi_export_verdicts_keep_declaration_order() {
+        let report = analyze_source(MULTI_EXPORT).expect("parses");
         assert_eq!(
-            names,
-            vec!["safe", "crash", "guarded", "wrong-range"],
-            "export order must follow the module declaration"
+            verdict_kinds(&report),
+            vec![
+                ("safe", "verified"),
+                ("crash", "counterexample"),
+                ("guarded", "verified"),
+                ("wrong-range", "counterexample"),
+            ],
+            "one verdict per export, in module declaration order"
         );
-        assert_eq!(
-            sequential
-                .exports
-                .iter()
-                .map(|(n, a)| (n.as_str(), verdict_kind(a)))
-                .collect::<Vec<_>>(),
-            sharded
-                .exports
-                .iter()
-                .map(|(n, a)| (n.as_str(), verdict_kind(a)))
-                .collect::<Vec<_>>(),
-            "worker count must not change verdicts or their order"
-        );
-        assert_eq!(sequential.worker_stats.len(), 1);
-        assert!(sharded.worker_stats.len() > 1, "several workers ran");
-        // Per-worker stats sum to the merged stats.
-        let mut summed = SessionStats::default();
-        for per_worker in &sharded.worker_stats {
-            summed.merge(per_worker);
-        }
-        assert_eq!(summed, sharded.stats);
+        assert!(report.skipped.is_empty());
     }
 
     #[test]
-    fn shared_cache_feeds_sibling_workers_and_later_runs() {
+    fn shared_cache_feeds_later_runs() {
         let cache = SharedVerdictCache::new();
         let options = AnalyzeOptions {
-            workers: 4,
             shared_cache: Some(cache.clone()),
             ..AnalyzeOptions::default()
         };
@@ -499,78 +514,16 @@ mod tests {
         );
         cache.advance_epoch();
         let second = analyze_source_with(MULTI_EXPORT, &options).expect("parses");
-        assert_eq!(
-            first
-                .exports
-                .iter()
-                .map(|(n, a)| (n.as_str(), verdict_kind(a)))
-                .collect::<Vec<_>>(),
-            second
-                .exports
-                .iter()
-                .map(|(n, a)| (n.as_str(), verdict_kind(a)))
-                .collect::<Vec<_>>(),
-        );
+        assert_eq!(verdict_kinds(&first), verdict_kinds(&second));
         assert!(
             cache.cross_epoch_hits() > 0,
             "the second run must reuse verdicts computed by the first"
         );
         assert!(
-            second.stats.shared_cache_hits > 0,
-            "sessions must report shared hits: {:?}",
+            second.stats.cache_hits > first.stats.cache_hits,
+            "the second run answers more queries from the cache: {:?} vs {:?}",
+            first.stats,
             second.stats
-        );
-    }
-
-    #[test]
-    fn zero_workers_resolves_to_available_parallelism() {
-        let auto = resolve_workers(0);
-        assert!(auto >= 1, "auto never resolves below one worker");
-        assert_eq!(
-            auto,
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        );
-        // Positive requests pass through unchanged.
-        assert_eq!(resolve_workers(1), 1);
-        assert_eq!(resolve_workers(7), 7);
-    }
-
-    #[test]
-    fn zero_workers_analysis_runs_with_auto_parallelism() {
-        let report = analyze_source_with(
-            MULTI_EXPORT,
-            &AnalyzeOptions {
-                workers: 0,
-                ..AnalyzeOptions::default()
-            },
-        )
-        .expect("parses");
-        let expected_workers = resolve_workers(0).clamp(1, report.exports.len());
-        assert_eq!(
-            report.worker_stats.len(),
-            expected_workers,
-            "workers: 0 must spawn one worker per hardware thread (capped by exports)"
-        );
-        // Verdicts are unchanged versus the sequential run.
-        let sequential = analyze_source_with(
-            MULTI_EXPORT,
-            &AnalyzeOptions {
-                workers: 1,
-                ..AnalyzeOptions::default()
-            },
-        )
-        .expect("parses");
-        assert_eq!(
-            sequential
-                .exports
-                .iter()
-                .map(|(n, a)| (n.as_str(), verdict_kind(a)))
-                .collect::<Vec<_>>(),
-            report
-                .exports
-                .iter()
-                .map(|(n, a)| (n.as_str(), verdict_kind(a)))
-                .collect::<Vec<_>>(),
         );
     }
 }

@@ -56,17 +56,16 @@
 //!   context ([`Ctx`]) threads the prover session mutably through all of
 //!   them, so neither it nor the option types are `Copy`.
 //! * [`cex`] — counterexample reconstruction from a solver model.
-//! * [`analyze`] — the driver, split into context synthesis, per-export
-//!   analysis and a work-stealing scheduler that shards exports across
-//!   [`AnalyzeOptions::workers`] threads, one long-lived [`ProverSession`]
-//!   per worker. A [`SharedVerdictCache`] lets verdicts flow between
-//!   workers and across runs (e.g. the correct/faulty variants of a
-//!   benchmark). [`ModuleReport`] carries the aggregated and per-worker
-//!   [`SessionStats`] so harnesses can report solver work per benchmark.
-//!   Alongside verdicts, workers exchange **theory lemmas** through a
-//!   [`SharedLemmaPool`] (atom ids are process-global in `folic`, so a
-//!   lemma is meaningful in every worker). Every run shares lemmas: the
-//!   scheduler creates a pool whenever the options carry none.
+//! * [`analyze`] — the driver, split into context synthesis and per-export
+//!   analysis. A module's exports are analyzed one after another on the
+//!   calling thread through one long-lived [`ProverSession`]. A
+//!   [`SharedVerdictCache`] passed in the options lets verdicts flow across
+//!   runs (e.g. the correct/faulty variants of a benchmark). [`ModuleReport`]
+//!   carries the aggregated [`SessionStats`] so harnesses can report solver
+//!   work per benchmark. Alongside verdicts, sessions exchange **theory
+//!   lemmas** through a [`SharedLemmaPool`] (atom ids are process-global in
+//!   `folic`, so a lemma is meaningful in every session). Every run shares
+//!   lemmas: the driver creates a pool whenever the options carry none.
 //! * [`store`] — warm starts across *processes*: an append-only,
 //!   content-addressed on-disk store ([`AnalysisStore`]) persisting proved
 //!   verdicts (keyed by heap fingerprint), theory lemmas (by atom content)
@@ -117,8 +116,8 @@ pub mod store;
 pub mod syntax;
 
 pub use analyze::{
-    analyze, analyze_module, analyze_source, analyze_source_with, resolve_workers, AnalyzeOptions,
-    ExportAnalysis, ModuleReport,
+    analyze, analyze_module, analyze_source, analyze_source_with, AnalyzeOptions, ExportAnalysis,
+    ModuleReport,
 };
 pub use cex::Counterexample;
 pub use eval::{Ctx, EvalOptions, Outcome};

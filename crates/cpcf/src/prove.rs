@@ -77,11 +77,6 @@ folic::counters! {
         pub model_queries: u64,
         /// Queries answered from the verdict cache.
         pub cache_hits: u64,
-        /// The subset of `cache_hits` served by a [`SharedVerdictCache`] — i.e.
-        /// verdicts this session did not compute itself but inherited from
-        /// another session (a sibling worker, or an earlier analysis run sharing
-        /// the cache).
-        pub shared_cache_hits: u64,
         /// Whole-heap encodings (fresh solver + full translation).
         pub full_encodings: u64,
         /// Incremental encodings of a journal suffix only.
@@ -90,7 +85,7 @@ folic::counters! {
         /// heap exactly — no encoding work at all.
         pub reused_encodings: u64,
         /// Heap snapshots ([`Heap::clone`]) taken while this session's work ran.
-        /// Sessions do not snapshot heaps themselves; the analysis scheduler
+        /// Sessions do not snapshot heaps themselves; the analysis driver
         /// fills this from the thread-local sharing counters
         /// ([`crate::pmap::sharing_totals`]) around each export run, so the
         /// counter attributes the evaluator's branch splits to the session that
@@ -99,14 +94,14 @@ folic::counters! {
         /// Persistent-map nodes structurally copied because a heap write hit a
         /// node still shared with another snapshot (the entire per-write cost of
         /// copy-on-write, in place of the old whole-map deep clones). Filled by
-        /// the scheduler like `snapshots`.
+        /// the analysis driver like `snapshots`.
         pub nodes_copied: u64,
         /// Journal bytes snapshots shared by reference instead of deep-copying —
         /// exactly the bytes the old `Vec`-journal representation memcpy'd at
-        /// every branch split. Filled by the scheduler like `snapshots`.
+        /// every branch split. Filled by the analysis driver like `snapshots`.
         pub journal_bytes_shared: u64,
-        /// The subset of `shared_cache_hits` served by the *persistent* tier
-        /// ([`crate::AnalysisStore`]) rather than the in-memory shards — i.e.
+        /// The subset of `cache_hits` served by the *persistent* tier
+        /// ([`crate::AnalysisStore`]) rather than the in-memory map — i.e.
         /// verdicts inherited from an earlier process.
         pub store_hits: u64,
         /// Queries that missed both cache tiers while a persistent store was
@@ -132,21 +127,16 @@ pub(crate) enum Query {
 /// A cache key: heap fingerprint, heap generation, and the query itself.
 pub(crate) type CacheKey = (u64, u64, Query);
 
-/// Number of lock shards in a [`SharedVerdictCache`]. Shard selection uses
-/// the heap fingerprint, which is already a well-mixed 64-bit hash.
-const CACHE_SHARDS: usize = 16;
-
-/// Per-shard entry bound, so pathological runs cannot grow without limit
-/// (mirrors the private session cache's crude bound).
-const SHARD_CAPACITY: usize = 1 << 16;
+/// Entry bound, so pathological runs cannot grow without limit: the map is
+/// cleared when it reaches this size.
+const CACHE_CAPACITY: usize = 1 << 20;
 
 #[derive(Debug, Default)]
 struct SharedCacheInner {
-    shards: [Mutex<HashMap<CacheKey, (u32, Proof)>>; CACHE_SHARDS],
+    /// Memoized verdicts, each tagged with the epoch it was stored in.
+    entries: Mutex<HashMap<CacheKey, (u32, Proof)>>,
     /// The current epoch; entries remember the epoch they were stored in.
     epoch: AtomicU32,
-    /// Total lookups served from this cache.
-    hits: AtomicU64,
     /// Hits on entries stored in an *earlier* epoch than the lookup's — with
     /// one [`SharedVerdictCache::advance_epoch`] between the correct and
     /// faulty variant runs of a benchmark, this counts exactly the
@@ -154,22 +144,23 @@ struct SharedCacheInner {
     cross_epoch_hits: AtomicU64,
     /// Optional persistent tier: misses fall through to this on-disk store
     /// and new verdicts append to it, giving later *processes* a warm
-    /// start. Disk hits are adopted into the in-memory shards (at the
-    /// current epoch) so each stored verdict pays the disk-map lookup once.
+    /// start. Disk hits are adopted into the in-memory map (at the current
+    /// epoch) so each stored verdict pays the disk-map lookup once.
     persist: Option<crate::store::AnalysisStore>,
 }
 
-/// A verdict cache sharable across [`ProverSession`]s and across threads:
-/// a sharded, fingerprint-keyed `(heap fingerprint, generation, query) →
-/// Proof` map behind `Arc<Mutex<…>>` shards.
+/// The verdict cache of [`ProverSession`]s: a fingerprint-keyed `(heap
+/// fingerprint, generation, query) → Proof` map behind one `Arc<Mutex<…>>`.
+/// A session built without one creates its own; a handle passed to several
+/// sessions lets them exchange verdicts.
 ///
 /// Because the fingerprint identifies heap *content* (the constraint
 /// journal), verdicts computed by one session are valid for any other
-/// session that reaches a heap with the same journal — a sibling worker
-/// thread analyzing another export, or a later analysis of a program variant
-/// sharing the same module-loading prefix. Epochs make the cross-run reuse
-/// measurable: callers bump [`SharedVerdictCache::advance_epoch`] between
-/// runs and read [`SharedVerdictCache::cross_epoch_hits`].
+/// session that reaches a heap with the same journal — a later analysis of
+/// a program variant sharing the same module-loading prefix, or a
+/// concrete validation re-run. Epochs make the cross-run reuse measurable:
+/// callers bump [`SharedVerdictCache::advance_epoch`] between runs and read
+/// [`SharedVerdictCache::cross_epoch_hits`].
 #[derive(Debug, Clone, Default)]
 pub struct SharedVerdictCache {
     inner: Arc<SharedCacheInner>,
@@ -200,21 +191,27 @@ impl SharedVerdictCache {
         self.inner.persist.is_some()
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, (u32, Proof)>> {
-        &self.inner.shards[(key.0 as usize) % CACHE_SHARDS]
+    fn entries(&self) -> std::sync::MutexGuard<'_, HashMap<CacheKey, (u32, Proof)>> {
+        self.inner.entries.lock().expect("verdict cache poisoned")
+    }
+
+    /// Inserts a verdict at the current epoch unless the key is present:
+    /// re-storing an entry in a later run must not mask its cross-run
+    /// provenance.
+    fn insert(&self, key: CacheKey, proof: Proof) {
+        let epoch = self.inner.epoch.load(Ordering::Relaxed);
+        let mut entries = self.entries();
+        if entries.len() >= CACHE_CAPACITY {
+            entries.clear();
+        }
+        entries.entry(key).or_insert((epoch, proof));
     }
 
     /// Looks up a verdict; the second component reports whether it came
-    /// from the persistent tier (`true`) or the in-memory shards (`false`).
+    /// from the persistent tier (`true`) or the in-memory map (`false`).
     fn lookup(&self, key: &CacheKey) -> Option<(Proof, bool)> {
-        let entry = self
-            .shard(key)
-            .lock()
-            .expect("cache shard poisoned")
-            .get(key)
-            .copied();
+        let entry = self.entries().get(key).copied();
         if let Some((stored_epoch, proof)) = entry {
-            self.inner.hits.fetch_add(1, Ordering::Relaxed);
             if stored_epoch < self.inner.epoch.load(Ordering::Relaxed) {
                 self.inner.cross_epoch_hits.fetch_add(1, Ordering::Relaxed);
             }
@@ -222,38 +219,23 @@ impl SharedVerdictCache {
         }
         let persist = self.inner.persist.as_ref()?;
         let proof = persist.lookup_verdict(&crate::store::verdict_key_bytes(key))?;
-        // Adopt the disk verdict into its shard at the *current* epoch (it
-        // is not an in-memory cross-run reuse) so repeat lookups stay off
-        // the store path. Not counted in `hits`: that counter measures the
-        // in-memory tier, the store keeps its own.
-        let epoch = self.inner.epoch.load(Ordering::Relaxed);
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-        if shard.len() >= SHARD_CAPACITY {
-            shard.clear();
-        }
-        shard.entry(key.clone()).or_insert((epoch, proof));
+        // Adopt the disk verdict at the *current* epoch (it is not an
+        // in-memory cross-run reuse) so repeat lookups stay off the store
+        // path.
+        self.insert(key.clone(), proof);
         Some((proof, true))
     }
 
-    /// Stores a verdict in the in-memory shards and, when a persistent
-    /// store is attached, on disk. Returns `true` when the verdict was new
-    /// to the store (a record was appended).
+    /// Stores a verdict in memory and, when a persistent store is attached,
+    /// on disk. Returns `true` when the verdict was new to the store (a
+    /// record was appended).
     fn store(&self, key: CacheKey, proof: Proof) -> bool {
         let key_bytes = self
             .inner
             .persist
             .as_ref()
             .map(|_| crate::store::verdict_key_bytes(&key));
-        let epoch = self.inner.epoch.load(Ordering::Relaxed);
-        {
-            let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
-            if shard.len() >= SHARD_CAPACITY {
-                shard.clear();
-            }
-            // Keep the oldest epoch tag: re-storing an entry in a later run
-            // must not mask its cross-run provenance.
-            shard.entry(key).or_insert((epoch, proof));
-        }
+        self.insert(key, proof);
         match (&self.inner.persist, key_bytes) {
             (Some(persist), Some(bytes)) => persist.record_verdict(bytes, proof),
             _ => false,
@@ -266,11 +248,6 @@ impl SharedVerdictCache {
         self.inner.epoch.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Total lookups served from this cache, over all sessions and epochs.
-    pub fn hits(&self) -> u64 {
-        self.inner.hits.load(Ordering::Relaxed)
-    }
-
     /// Hits on entries stored in an earlier epoch than the lookup's.
     pub fn cross_epoch_hits(&self) -> u64 {
         self.inner.cross_epoch_hits.load(Ordering::Relaxed)
@@ -278,11 +255,7 @@ impl SharedVerdictCache {
 
     /// Number of memoized verdicts currently held.
     pub fn len(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").len())
-            .sum()
+        self.entries().len()
     }
 
     /// True if no verdict is memoized.
@@ -319,12 +292,9 @@ pub struct ProverSession {
     /// Synchronized journal prefixes, outermost first. Empty until the first
     /// solver-backed query; `frames[0]` is the base (scope-0) encoding.
     frames: Vec<Frame>,
-    /// Memoized verdicts keyed by heap fingerprint + generation + query.
-    cache: HashMap<CacheKey, Proof>,
-    /// Optional second-level cache shared with other sessions (sibling
-    /// worker threads, other analysis runs). Checked after the private
-    /// cache; hits are copied into the private cache.
-    shared: Option<SharedVerdictCache>,
+    /// Memoized verdicts keyed by heap fingerprint + generation + query,
+    /// possibly shared with other sessions.
+    cache: SharedVerdictCache,
     /// Work counters.
     stats: SessionStats,
     /// Optional cross-worker theory-lemma pool, handed to every solver this
@@ -349,30 +319,28 @@ impl ProverSession {
         ProverSession::with_config(ProveConfig::default())
     }
 
-    /// Creates a session with an explicit configuration.
+    /// Creates a session with an explicit configuration and a verdict cache
+    /// of its own.
     pub fn with_config(config: ProveConfig) -> Self {
+        ProverSession::with_config_and_cache(config, SharedVerdictCache::new())
+    }
+
+    /// Creates a session backed by the given [`SharedVerdictCache`].
+    /// Sessions sharing a cache exchange verdicts keyed by heap
+    /// fingerprint, which is safe across sessions and runs because the
+    /// fingerprint identifies constraint content, not session state.
+    pub fn with_config_and_cache(config: ProveConfig, cache: SharedVerdictCache) -> Self {
         let solver = Solver::with_config(config.solver);
         ProverSession {
             config,
             solver,
             frames: Vec::new(),
-            cache: HashMap::new(),
-            shared: None,
+            cache,
             stats: SessionStats::default(),
             lemma_pool: None,
             retired_solver_stats: SolverStats::default(),
             aux_next: SESSION_AUX_BASE,
         }
-    }
-
-    /// Creates a session backed by a [`SharedVerdictCache`] in addition to
-    /// its private cache. Sessions sharing a cache exchange verdicts keyed
-    /// by heap fingerprint, which is safe across threads and runs because
-    /// the fingerprint identifies constraint content, not session state.
-    pub fn with_config_and_cache(config: ProveConfig, shared: SharedVerdictCache) -> Self {
-        let mut session = ProverSession::with_config(config);
-        session.shared = Some(shared);
-        session
     }
 
     /// Connects this session to a cross-worker theory-lemma pool
@@ -419,23 +387,15 @@ impl ProverSession {
             return None;
         }
         let key = (heap.fingerprint(), heap.generation(), query.clone());
-        if let Some(proof) = self.cache.get(&key).copied() {
+        if let Some((proof, from_store)) = self.cache.lookup(&key) {
             self.stats.cache_hits += 1;
+            if from_store {
+                self.stats.store_hits += 1;
+            }
             return Some(proof);
         }
-        if let Some(shared) = &self.shared {
-            if let Some((proof, from_store)) = shared.lookup(&key) {
-                self.stats.cache_hits += 1;
-                self.stats.shared_cache_hits += 1;
-                if from_store {
-                    self.stats.store_hits += 1;
-                }
-                self.cache.insert(key, proof);
-                return Some(proof);
-            }
-            if shared.has_store() {
-                self.stats.store_misses += 1;
-            }
+        if self.cache.has_store() {
+            self.stats.store_misses += 1;
         }
         None
     }
@@ -444,17 +404,10 @@ impl ProverSession {
         if self.config.fresh_per_query {
             return;
         }
-        // A crude bound so pathological runs cannot grow without limit.
-        if self.cache.len() >= 1 << 20 {
-            self.cache.clear();
-        }
         let key = (heap.fingerprint(), heap.generation(), query);
-        if let Some(shared) = &self.shared {
-            if shared.store(key.clone(), proof) {
-                self.stats.store_writes += 1;
-            }
+        if self.cache.store(key, proof) {
+            self.stats.store_writes += 1;
         }
-        self.cache.insert(key, proof);
     }
 
     /// Does the value at `loc` have tag `tag`? Three-valued, using concrete
@@ -1076,13 +1029,12 @@ mod tests {
         let a = first.prove_num(&heap, l, CmpOp::Gt, &CSymExpr::int(0));
         let b = second.prove_num(&heap, l, CmpOp::Gt, &CSymExpr::int(0));
         assert_eq!(a, b);
-        assert_eq!(first.stats().shared_cache_hits, 0, "first session computed");
+        assert_eq!(first.stats().cache_hits, 0, "first session computed");
         assert_eq!(
-            second.stats().shared_cache_hits,
+            second.stats().cache_hits,
             1,
             "second session inherited the verdict"
         );
-        assert_eq!(cache.hits(), 1);
         assert_eq!(
             second.stats().full_encodings + second.stats().delta_encodings,
             0,
@@ -1112,7 +1064,7 @@ mod tests {
             ProverSession::with_config_and_cache(ProveConfig::default(), cache.clone());
         fourth.prove_num(&heap, l, CmpOp::Le, &CSymExpr::int(4));
         assert_eq!(cache.cross_epoch_hits(), 1, "same-epoch hit not counted");
-        assert!(cache.hits() >= 2);
+        assert_eq!(fourth.stats().cache_hits, 1);
     }
 
     #[test]

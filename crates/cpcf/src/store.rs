@@ -1621,10 +1621,9 @@ mod tests {
             seen.push((name, print));
         }
         assert_eq!(fingerprint(&base), fingerprint(&base.clone()));
-        // Scheduling and sharing are excluded: verdicts do not depend on
-        // the worker count or on which pool and cache the sessions share.
+        // Sharing is excluded: verdicts do not depend on which pool and
+        // cache the sessions share.
         let shared = AnalyzeOptions {
-            workers: 7,
             shared_cache: Some(crate::SharedVerdictCache::new()),
             shared_lemmas: Some(SharedLemmaPool::new()),
             ..AnalyzeOptions::default()

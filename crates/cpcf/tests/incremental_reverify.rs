@@ -41,7 +41,6 @@ fn options_with_store(store: AnalysisStore, incremental: bool) -> AnalyzeOptions
     AnalyzeOptions {
         store: Some(store),
         incremental,
-        workers: 1,
         ..AnalyzeOptions::default()
     }
 }

@@ -516,7 +516,7 @@ impl TheoryCore {
                             // A theory lemma: this combination of atom
                             // polarities is inconsistent under any
                             // assignment, in any frame — retain it, and
-                            // offer it to sibling workers. A module
+                            // offer it to sibling cores. A module
                             // explanation narrows both the clause and the
                             // lemma to the inconsistent subset.
                             let (clause, lemma): (Vec<Lit>, Vec<AtomId>) =

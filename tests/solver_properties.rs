@@ -464,7 +464,7 @@ mod session_equivalence {
                     .collect()
             };
 
-            // Control: a cold session with a private cache only.
+            // Control: a cold session with a cache of its own.
             let mut cold = ProverSession::new();
             let cold_verdicts = replay(&mut cold);
 
@@ -501,10 +501,11 @@ mod session_equivalence {
                 "case {case}: the warm replay must answer every query from \
                  the cache: {second_stats:?}"
             );
-            assert!(
-                cache.cross_epoch_hits() >= second_stats.shared_cache_hits,
-                "case {case}: every shared hit of the second run crosses the \
-                 epoch boundary"
+            assert_eq!(
+                cache.cross_epoch_hits(),
+                second_stats.cache_hits,
+                "case {case}: every hit of the second run crosses the epoch \
+                 boundary, and no hit of the first run does"
             );
         }
     }
